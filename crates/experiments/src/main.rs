@@ -96,11 +96,13 @@ flags:
                      cycles between periodic snapshots (default 20000)
   --fragments <n>    time-axis parallel fragment replay: when spare cores
                      exist (pending grid narrower than SMT_JOBS/core count),
-                     each simulation runs a null-observer scout pass that
-                     snapshots the machine every <n> cycles, then replays
-                     the fragments concurrently with the real observers and
-                     stitches a result proven bit-identical to a sequential
-                     run (ignored under --resume)
+                     each observed simulation (--sanitize or --intervals)
+                     runs a null-observer scout pass that snapshots the
+                     machine every <n> cycles, then replays the fragments
+                     concurrently with the real observers and stitches a
+                     result proven bit-identical to a sequential run. Only
+                     observed runs are split; an unobserved run's scout
+                     would redo the replay's work (ignored under --resume)
 
 exit codes:
   0  success          1  runtime failure       2  bad usage

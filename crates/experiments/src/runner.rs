@@ -25,10 +25,11 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use dwarn_core::{PolicyKind, PolicyVisitor};
-use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Json};
+use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Json, NullProbe, Probe};
 use smt_pipeline::{
-    CheckpointOpts, ConfigError, FetchPolicy, FragmentOpts, MachineSnapshot, RecordingSanitizer,
-    RunOutcome, SimConfig, SimError, SimResult, Simulator, ThreadSpec, Watchdog,
+    CheckpointOpts, ConfigError, FetchPolicy, FragmentOpts, MachineSnapshot, NullSanitizer,
+    RecordingSanitizer, RunOutcome, Sanitizer, SimConfig, SimError, SimResult, Simulator,
+    ThreadSpec, Watchdog,
 };
 use smt_workloads::Workload;
 
@@ -216,15 +217,6 @@ pub struct Campaign {
     /// Machine-readable heartbeat stream (`events.jsonl`): one line per
     /// completed run, flushed eagerly so it can be tailed.
     heartbeat: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
-    /// Per-run quiescence-skip accounting, keyed by the run's `what`
-    /// string: `(skipped_cycles, total_cycles)`. Filled by
-    /// [`Campaign::simulate_policy`], drained by `run_protected` into the
-    /// stats artifact (`skip_ratio`).
-    skip_stats: Mutex<HashMap<String, (u64, u64)>>,
-    /// Per-run fetch-policy switch counts, same lifecycle as `skip_stats`;
-    /// non-zero only for the switching meta-policies. Feeds the
-    /// `policy_switches` field of the stats artifact.
-    switch_stats: Mutex<HashMap<String, u64>>,
     /// Fragment length in cycles for time-axis parallel replay
     /// (`--fragments <cycles>`); `None` runs every simulation
     /// sequentially.
@@ -234,9 +226,6 @@ pub struct Campaign {
     /// batch pool leaves idle: intra-run parallelism is for grids
     /// *narrower* than the machine, not for competing with the pool.
     pool_width: AtomicUsize,
-    /// Per-run fragment accounting, same lifecycle as `skip_stats`:
-    /// `(fragments, fragment_cycles)`. Feeds the schema-v3 stats fields.
-    frag_stats: Mutex<HashMap<String, (u64, u64)>>,
     /// Progress of the current prefetch batch, for runs/sec and ETA:
     /// `(batch_total, started, completed_before_batch)`.
     batch: Mutex<Option<(usize, Instant, u64)>>,
@@ -288,16 +277,65 @@ struct Telemetry {
     coalesced: AtomicU64,
 }
 
-/// Fail a sanitized run whose recorder caught invariant violations.
-fn check_clean(what: &str, rec: &RecordingSanitizer) -> Result<(), ExpError> {
-    if rec.is_clean() {
+/// One simulation request as the run body sees it.
+struct Run<'a> {
+    /// Human-readable run name (failure records, journal, file stems).
+    what: &'a str,
+    /// The canonical cache-key description ([`describe_run`]).
+    desc: &'a str,
+    cfg: &'a SimConfig,
+    specs: &'a [ThreadSpec],
+    /// Builds fresh copies of the run's policy for fragment-replay workers.
+    rebuild: &'a (dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+}
+
+/// Execution facts of one in-process run, returned with its result and
+/// written to the stats artifact. Cache-served results have none.
+#[derive(Debug, Clone, Copy)]
+struct RunFacts {
+    /// Cycles the quiescence engine skipped (the scout's, when fragmented).
+    skipped: u64,
+    /// Fetch-policy switches (non-zero only for the meta-policies).
+    switches: u64,
+    /// `(fragments, fragment_cycles)`; `None` for a sequential run.
+    fragments: Option<(u64, u64)>,
+}
+
+/// Finishes an observer the campaign attached to a run from its parts:
+/// one part for a sequential run, one per fragment in time order.
+trait Finish: Sized + Send {
+    fn finish(_parts: Vec<Self>, _c: &Campaign, _run: &Run) -> Result<(), ExpError> {
         Ok(())
-    } else {
-        Err(ExpError::Invariant {
-            what: what.to_string(),
-            violations: rec.total() as usize,
-            first: rec.first().map(ToString::to_string).unwrap_or_default(),
-        })
+    }
+}
+
+impl Finish for NullProbe {}
+impl Finish for NullSanitizer {}
+
+impl Finish for RecordingSanitizer {
+    /// Fail a run whose recorder caught invariant violations.
+    fn finish(parts: Vec<Self>, _: &Campaign, run: &Run) -> Result<(), ExpError> {
+        match parts.iter().find(|rec| !rec.is_clean()) {
+            None => Ok(()),
+            Some(rec) => Err(ExpError::Invariant {
+                what: run.what.to_string(),
+                violations: rec.total() as usize,
+                first: rec.first().map(ToString::to_string).unwrap_or_default(),
+            }),
+        }
+    }
+}
+
+impl Finish for IntervalProbe {
+    /// Stitch the series and write it under the `--intervals` directory.
+    fn finish(parts: Vec<Self>, c: &Campaign, run: &Run) -> Result<(), ExpError> {
+        let parts: Vec<IntervalSeries> = parts.into_iter().map(|p| p.into_series()).collect();
+        let series = IntervalSeries::stitch(&parts).map_err(|detail| SimError::Fragment {
+            fragment: None,
+            detail,
+        })?;
+        c.write_intervals(run.what, run.specs, &series);
+        Ok(())
     }
 }
 
@@ -347,11 +385,8 @@ impl Campaign {
             telemetry: Telemetry::default(),
             live: false,
             heartbeat: Mutex::new(None),
-            skip_stats: Mutex::new(HashMap::new()),
-            switch_stats: Mutex::new(HashMap::new()),
             fragments: None,
             pool_width: AtomicUsize::new(1),
-            frag_stats: Mutex::new(HashMap::new()),
             batch: Mutex::new(None),
             ckpt: None,
         })
@@ -447,13 +482,15 @@ impl Campaign {
     }
 
     /// Enable time-axis parallel fragment replay (`--fragments <cycles>`):
-    /// a simulation whose turn comes when spare cores exist first runs a
-    /// cheap null-observer scout pass that snapshots the machine every
-    /// `cycles` cycles, then re-simulates the fragments concurrently with
-    /// the real observer configuration and stitches the results —
-    /// bit-identical to a sequential run (the engine proves it per run).
-    /// `0` disables. Checkpointing campaigns (`--resume`) ignore it: a
-    /// resumable run must stay a single sequential timeline.
+    /// an observed simulation (`--sanitize` or `--intervals`) whose turn
+    /// comes when spare cores exist first runs a cheap null-observer scout
+    /// pass that snapshots the machine every `cycles` cycles, then
+    /// re-simulates the fragments concurrently with the real observers and
+    /// stitches the results — bit-identical to a sequential run (the
+    /// engine proves it per run). Only observed runs are split; an
+    /// unobserved run's scout would redo the replay's work, so it runs
+    /// sequentially. `0` disables. Checkpointing campaigns (`--resume`)
+    /// ignore it: a resumable run must stay a single sequential timeline.
     pub fn set_fragments(&mut self, cycles: u64) {
         self.fragments = (cycles > 0).then_some(cycles);
     }
@@ -463,26 +500,21 @@ impl Campaign {
         self.fragments.is_some()
     }
 
-    /// The `(jobs, fragment_cycles)` plan for a run starting now, or
-    /// `None` to simulate sequentially. Fragment workers only use cores
-    /// the batch pool leaves idle: a full-width prefetch already keeps
-    /// the machine busy with run-level parallelism, and oversubscribing
-    /// it would slow both passes down.
-    fn fragment_plan(&self) -> Option<(usize, u64)> {
-        let cycles = self.fragments?;
+    /// The fragment-replay plan for a run starting now, or `None` to
+    /// simulate sequentially. Fragment workers only use cores the batch
+    /// pool leaves idle: a full-width prefetch already keeps the machine
+    /// busy with run-level parallelism, and oversubscribing it would slow
+    /// both passes down. The caller applies the other half of the rule —
+    /// only observed runs are split; an unobserved run's scout would redo
+    /// the replay's work.
+    fn fragment_plan(&self) -> Option<FragmentOpts> {
+        let fragment_cycles = self.fragments?;
         let width = self.pool_width.load(Ordering::Relaxed).max(1);
         let jobs = self.parallelism / width;
-        (jobs >= 2 && self.ckpt.is_none()).then_some((jobs, cycles))
-    }
-
-    /// Stash a fresh run's fragment accounting for the stats artifact
-    /// (`(fragments, fragment_cycles)`; schema v3).
-    fn note_fragments(&self, what: &str, fragments: u64, cycles: u64) {
-        crate::lock_unpoisoned(&self.frag_stats).insert(what.to_string(), (fragments, cycles));
-    }
-
-    fn take_fragments(&self, what: &str) -> Option<(u64, u64)> {
-        crate::lock_unpoisoned(&self.frag_stats).remove(what)
+        (jobs >= 2 && self.ckpt.is_none()).then_some(FragmentOpts {
+            jobs,
+            fragment_cycles,
+        })
     }
 
     /// Attach the interval sampler (`--intervals <dir>`): every simulation
@@ -578,28 +610,6 @@ impl Campaign {
         }
     }
 
-    /// Stash a fresh run's quiescence-skip accounting for the stats
-    /// artifact ([`Campaign::take_skip`]).
-    fn note_skip(&self, what: &str, skipped: u64) {
-        let total = self.params.warmup + self.params.measure;
-        crate::lock_unpoisoned(&self.skip_stats).insert(what.to_string(), (skipped, total));
-    }
-
-    fn take_skip(&self, what: &str) -> Option<(u64, u64)> {
-        crate::lock_unpoisoned(&self.skip_stats).remove(what)
-    }
-
-    /// Stash a fresh run's fetch-policy switch count for the stats
-    /// artifact. Read from the policy's own switch log after the run: the
-    /// simulator does not count switches, the policy does.
-    fn note_switches(&self, what: &str, switches: u64) {
-        crate::lock_unpoisoned(&self.switch_stats).insert(what.to_string(), switches);
-    }
-
-    fn take_switches(&self, what: &str) -> Option<u64> {
-        crate::lock_unpoisoned(&self.switch_stats).remove(what)
-    }
-
     /// Write one run's interval series (`<run>.intervals.jsonl` + Chrome
     /// counter-track export) under the `--intervals` directory. Telemetry
     /// I/O failures are recorded as campaign failures but do not fail the
@@ -630,358 +640,140 @@ impl Campaign {
         }
     }
 
-    /// One simulation behind the panic boundary and watchdog, with the
-    /// sanitizer attached when [`Campaign::set_sanitize`] is on. Generic
-    /// over the concrete policy type: grid runs arrive here through
-    /// [`PolicyKind::dispatch`], so the paper's policies run with
-    /// monomorphized (static) per-cycle dispatch, while custom policies
-    /// pass `Box<dyn FetchPolicy>`. The sanitizer likewise monomorphizes
-    /// in — the unsanitized arm runs the zero-cost `NullSanitizer` code.
-    fn simulate_policy<F: FetchPolicy + 'static>(
+    /// One simulation behind the panic boundary and watchdog, with its
+    /// execution facts. Generic over the concrete policy type: grid runs
+    /// arrive through [`PolicyKind::dispatch`] (static per-cycle dispatch),
+    /// custom runs pass `Box<dyn FetchPolicy>`. The observer pair is picked
+    /// once from `--sanitize`/`--intervals`; each compiles in or out
+    /// (`const ENABLED`), so a plain run executes the zero-cost null code.
+    fn simulate<F: FetchPolicy + 'static>(
         &self,
-        what: &str,
-        desc: Option<&str>,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
+        run: &Run,
         policy: F,
-        rebuild: Option<&(dyn Fn() -> Box<dyn FetchPolicy> + Sync)>,
-    ) -> Result<SimResult, ExpError> {
-        // Fragment replay: when spare cores exist and the caller can
-        // rebuild the policy for the replay workers, split this run
-        // along the time axis instead of simulating it sequentially.
-        // The stitched result is proven digest-identical in-engine, so
-        // caches, artifacts, and downstream figures see no difference.
-        if let (Some((jobs, fragment_cycles)), Some(rebuild)) = (self.fragment_plan(), rebuild) {
-            return self.simulate_fragmented(
-                what,
-                cfg,
-                specs,
-                policy,
-                rebuild,
-                jobs,
-                fragment_cycles,
-            );
-        }
-        let window = self.intervals.as_ref().map(|o| o.window);
-        // Four monomorphized arms: the sanitizer and the interval probe each
-        // either compile in or compile out (`const ENABLED`), so the plain
-        // arm still runs the zero-cost NullProbe/NullSanitizer code.
-        match (self.sanitize, window) {
-            (true, Some(window)) => protect(what, move || {
-                let probe = IntervalProbe::new(IntervalConfig { window });
-                let mut sim = Simulator::try_with_specs(
-                    cfg.clone(),
-                    policy,
-                    specs,
-                    probe,
-                    RecordingSanitizer::new(),
-                )?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                check_clean(what, sim.sanitizer())?;
-                let series = sim.into_probe().into_series();
-                self.write_intervals(what, specs, &series);
-                Ok(result)
-            }),
-            (true, None) => protect(what, move || {
-                let mut sim = Simulator::try_sanitized(
-                    cfg.clone(),
-                    policy,
-                    specs,
-                    RecordingSanitizer::new(),
-                )?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                check_clean(what, sim.sanitizer())?;
-                Ok(result)
-            }),
-            (false, Some(window)) => protect(what, move || {
-                let probe = IntervalProbe::new(IntervalConfig { window });
-                let mut sim = Simulator::try_with_probe(cfg.clone(), policy, specs, probe)?;
-                sim.set_skip_enabled(self.skip);
-                let result = sim
-                    .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, sim.skipped_cycles());
-                self.note_switches(what, sim.policy().switch_log().len() as u64);
-                let series = sim.into_probe().into_series();
-                self.write_intervals(what, specs, &series);
-                Ok(result)
-            }),
-            (false, None) => {
-                // The plain arm is the only checkpointing one: --sanitize
-                // and --intervals already force every run to execute fully
-                // in-process (they bypass cache loads), so a resumable
-                // snapshot would buy nothing there.
-                if let (Some(ck), Some(desc)) = (self.ckpt.as_ref(), desc) {
-                    return self.simulate_checkpointed(what, desc, cfg, specs, policy, ck);
-                }
-                protect(what, move || {
-                    let mut sim = Simulator::try_new(cfg.clone(), policy, specs)?;
-                    sim.set_skip_enabled(self.skip);
-                    let result = sim
-                        .try_run(self.params.warmup, self.params.measure, &self.watchdog)
-                        .map_err(ExpError::from)?;
-                    self.note_skip(what, sim.skipped_cycles());
-                    self.note_switches(what, sim.policy().switch_log().len() as u64);
-                    Ok(result)
-                })
-            }
+    ) -> Result<(SimResult, RunFacts), ExpError> {
+        let probe = |window| move || IntervalProbe::new(IntervalConfig { window });
+        match (self.sanitize, self.intervals.as_ref().map(|o| o.window)) {
+            (false, None) => self.observed(run, policy, || NullProbe, || NullSanitizer),
+            (true, None) => self.observed(run, policy, || NullProbe, RecordingSanitizer::new),
+            (false, Some(w)) => self.observed(run, policy, probe(w), || NullSanitizer),
+            (true, Some(w)) => self.observed(run, policy, probe(w), RecordingSanitizer::new),
         }
     }
 
-    /// Time-axis parallel execution of one run (`--fragments`): a
-    /// null-observer scout pass snapshots the machine every
-    /// `fragment_cycles` cycles, a pool of `jobs` workers re-simulates
-    /// the fragments concurrently with this campaign's real observer
-    /// configuration, and the stitched output — result, interval
-    /// series, switch log, skip accounting — is proven bit-identical
-    /// to a sequential run before anything is recorded. Mirrors the
-    /// four monomorphized observer arms of [`Campaign::simulate_policy`];
-    /// the scout always runs the zero-cost NullProbe/NullSanitizer
-    /// configuration (that is where the speedup comes from), and only
-    /// the replay workers pay the observer tax, in parallel.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_fragmented<F: FetchPolicy + 'static>(
+    /// The run body of [`Campaign::simulate`] for one observer pair.
+    /// Only an observed run is split into fragments: the scout runs the
+    /// null observers, so for an unobserved run it would redo the replay's
+    /// work. Only an unobserved run is checkpointed: observed runs bypass
+    /// cache loads, so a resumable snapshot would buy nothing there.
+    fn observed<P: Probe + Finish, S: Sanitizer + Finish, F: FetchPolicy + 'static>(
         &self,
-        what: &str,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
+        run: &Run,
         policy: F,
-        rebuild: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
-        jobs: usize,
-        fragment_cycles: u64,
-    ) -> Result<SimResult, ExpError> {
-        let stitch_err = |detail: String| {
-            ExpError::from(SimError::Fragment {
-                fragment: None,
-                detail,
-            })
-        };
-        let window = self.intervals.as_ref().map(|o| o.window);
-        let opts = FragmentOpts {
-            jobs,
-            fragment_cycles,
-        };
-        match (self.sanitize, window) {
-            (true, Some(window)) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let probe = IntervalProbe::new(IntervalConfig { window });
-                    let mut sim = Simulator::try_with_specs(
-                        cfg.clone(),
-                        rebuild(),
-                        specs,
-                        probe,
-                        RecordingSanitizer::new(),
-                    )?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                for frag in &report.fragments {
-                    check_clean(what, &frag.sanitizer)?;
+        probe: impl Fn() -> P + Sync,
+        sanitizer: impl Fn() -> S + Sync,
+    ) -> Result<(SimResult, RunFacts), ExpError> {
+        let observed = P::ENABLED || S::ENABLED;
+        let (warmup, measure, wd) = (self.params.warmup, self.params.measure, &self.watchdog);
+        protect(run.what, move || {
+            let (result, facts, probes, sanitizers) = match self.fragment_plan() {
+                Some(opts) if observed => {
+                    let mut scout = self.build(run, policy, NullProbe, NullSanitizer)?;
+                    let factory = || Ok(self.build(run, (run.rebuild)(), probe(), sanitizer())?);
+                    let report = scout.try_run_fragmented(warmup, measure, wd, &opts, &factory)?;
+                    let facts = RunFacts {
+                        skipped: report.scout_skipped,
+                        switches: report.switches.len() as u64,
+                        fragments: Some((report.fragments.len() as u64, opts.fragment_cycles)),
+                    };
+                    let parts = report.fragments.into_iter().map(|f| (f.probe, f.sanitizer));
+                    let (probes, sanitizers) = parts.unzip();
+                    (report.result, facts, probes, sanitizers)
                 }
-                let parts: Vec<IntervalSeries> = report
-                    .fragments
-                    .into_iter()
-                    .map(|f| f.probe.into_series())
-                    .collect();
-                let series = IntervalSeries::stitch(parts.iter()).map_err(stitch_err)?;
-                self.write_intervals(what, specs, &series);
-                Ok(report.result)
-            }),
-            (true, None) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let mut sim = Simulator::try_sanitized(
-                        cfg.clone(),
-                        rebuild(),
-                        specs,
-                        RecordingSanitizer::new(),
-                    )?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                for frag in &report.fragments {
-                    check_clean(what, &frag.sanitizer)?;
-                }
-                Ok(report.result)
-            }),
-            (false, Some(window)) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let probe = IntervalProbe::new(IntervalConfig { window });
-                    let mut sim = Simulator::try_with_probe(cfg.clone(), rebuild(), specs, probe)?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                let parts: Vec<IntervalSeries> = report
-                    .fragments
-                    .into_iter()
-                    .map(|f| f.probe.into_series())
-                    .collect();
-                let series = IntervalSeries::stitch(parts.iter()).map_err(stitch_err)?;
-                self.write_intervals(what, specs, &series);
-                Ok(report.result)
-            }),
-            (false, None) => protect(what, move || {
-                let mut scout = Simulator::try_new(cfg.clone(), policy, specs)?;
-                scout.set_skip_enabled(self.skip);
-                let factory = || {
-                    let mut sim = Simulator::try_new(cfg.clone(), rebuild(), specs)?;
-                    sim.set_skip_enabled(self.skip);
-                    Ok(sim)
-                };
-                let report = scout
-                    .try_run_fragmented(
-                        self.params.warmup,
-                        self.params.measure,
-                        &self.watchdog,
-                        &opts,
-                        &factory,
-                    )
-                    .map_err(ExpError::from)?;
-                self.note_skip(what, report.scout_skipped);
-                self.note_switches(what, report.switches.len() as u64);
-                self.note_fragments(what, report.fragments.len() as u64, fragment_cycles);
-                Ok(report.result)
-            }),
-        }
-    }
-
-    /// The checkpointing variant of the plain simulation arm: restore from
-    /// a prior snapshot when one exists, write periodic snapshots while
-    /// running, and turn interrupt requests into [`ExpError::Interrupted`]
-    /// with a resumable checkpoint on disk. A watchdog trip also leaves a
-    /// resumable checkpoint behind (the engine feeds the sink before
-    /// erroring out). Irregular checkpoints surface as typed
-    /// [`ExpError::Checkpoint`] failures — the caller deletes the entry
-    /// and re-simulates from scratch.
-    fn simulate_checkpointed<F: FetchPolicy + 'static>(
-        &self,
-        what: &str,
-        desc: &str,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
-        policy: F,
-        ck: &CkptState,
-    ) -> Result<SimResult, ExpError> {
-        protect(what, move || {
-            let ckpt_err = |fault: CheckpointFault| ExpError::Checkpoint {
-                path: ck.store.path_for(desc).display().to_string(),
-                fault,
-            };
-            let mut sim = Simulator::try_new(cfg.clone(), policy, specs)?;
-            sim.set_skip_enabled(self.skip);
-            let pending = match ck.store.load_checked(desc).map_err(&ckpt_err)? {
-                Some(snap) => Some(
-                    sim.restore_run(&snap)
-                        .map_err(|e| ckpt_err(CheckpointFault::Snapshot(e)))?,
-                ),
-                None => None,
-            };
-            // A failed snapshot write costs resumability, never the run.
-            let mut sink = |snap: &MachineSnapshot| {
-                if let Err(e) = ck.store.store(desc, snap) {
-                    eprintln!("checkpoint: storing snapshot for {what}: {e}");
+                _ => {
+                    let mut sim = self.build(run, policy, probe(), sanitizer())?;
+                    let result = match self.ckpt.as_ref().filter(|_| !observed) {
+                        Some(ck) => self.run_checkpointed(&mut sim, run, ck)?,
+                        None => sim.try_run(warmup, measure, wd)?,
+                    };
+                    let facts = RunFacts {
+                        skipped: sim.skipped_cycles(),
+                        switches: sim.policy().switch_log().len() as u64,
+                        fragments: None,
+                    };
+                    let (probe, sanitizer) = sim.into_observers();
+                    (result, facts, vec![probe], vec![sanitizer])
                 }
             };
-            let stop = crate::interrupt::requested;
-            let mut opts = CheckpointOpts {
-                interval: ck.interval,
-                sink: &mut sink,
-                stop: Some(&stop),
-            };
-            let outcome = match pending {
-                Some(p) => sim.resume_run(p, &self.watchdog, &mut opts),
-                None => sim.try_run_checkpointed(
-                    self.params.warmup,
-                    self.params.measure,
-                    &self.watchdog,
-                    &mut opts,
-                ),
-            }
-            .map_err(ExpError::from)?;
-            match outcome {
-                RunOutcome::Completed(result) => {
-                    self.note_skip(what, sim.skipped_cycles());
-                    self.note_switches(what, sim.policy().switch_log().len() as u64);
-                    // The run is done: its checkpoint is dead weight.
-                    let _ = ck.store.remove(desc);
-                    Ok(result)
-                }
-                RunOutcome::Interrupted(snap) => {
-                    if let Err(e) = ck.store.store(desc, &snap) {
-                        eprintln!("checkpoint: storing snapshot for {what}: {e}");
-                    }
-                    let _ =
-                        crate::lock_unpoisoned(&ck.journal).note_interrupted(what, snap.cycle());
-                    Err(ExpError::Interrupted {
-                        what: what.to_string(),
-                    })
-                }
-            }
+            S::finish(sanitizers, self, run)?;
+            P::finish(probes, self, run)?;
+            Ok((result, facts))
         })
     }
 
-    /// [`Campaign::simulate_policy`] for lazily-built dyn policies (the
-    /// custom-run path).
-    fn simulate(
+    /// A simulator for `run` with this campaign's skip setting.
+    fn build<P: Probe, S: Sanitizer, G: FetchPolicy>(
         &self,
-        what: &str,
-        desc: Option<&str>,
-        cfg: &SimConfig,
-        specs: &[ThreadSpec],
-        build: &(dyn Fn() -> Box<dyn FetchPolicy> + Sync),
+        run: &Run,
+        policy: G,
+        probe: P,
+        sanitizer: S,
+    ) -> Result<Simulator<P, S, G>, ConfigError> {
+        let mut sim =
+            Simulator::try_with_specs(run.cfg.clone(), policy, run.specs, probe, sanitizer)?;
+        sim.set_skip_enabled(self.skip);
+        Ok(sim)
+    }
+
+    /// Drive `sim` under `--resume`: continue from a prior snapshot when
+    /// one exists, write periodic snapshots, and turn an interrupt request
+    /// into [`ExpError::Interrupted`] with a resumable checkpoint on disk (a
+    /// watchdog trip leaves one too). An irregular checkpoint is a typed
+    /// [`ExpError::Checkpoint`]; [`Campaign::resolve`] deletes it and
+    /// re-simulates.
+    fn run_checkpointed<P: Probe, S: Sanitizer, F: FetchPolicy>(
+        &self,
+        sim: &mut Simulator<P, S, F>,
+        run: &Run,
+        ck: &CkptState,
     ) -> Result<SimResult, ExpError> {
-        self.simulate_policy(what, desc, cfg, specs, build(), Some(build))
+        let ckpt_err = |fault| ExpError::Checkpoint {
+            path: ck.store.path_for(run.desc).display().to_string(),
+            fault,
+        };
+        let snap = ck.store.load_checked(run.desc).map_err(ckpt_err)?;
+        let pending = snap.map(|snap| sim.restore_run(&snap)).transpose();
+        let pending = pending.map_err(|e| ckpt_err(CheckpointFault::Snapshot(e)))?;
+        // A failed snapshot write costs resumability, never the run.
+        let mut sink = |snap: &MachineSnapshot| {
+            if let Err(e) = ck.store.store(run.desc, snap) {
+                eprintln!("checkpoint: storing snapshot for {}: {e}", run.what);
+            }
+        };
+        let stop = crate::interrupt::requested;
+        let mut opts = CheckpointOpts {
+            interval: ck.interval,
+            sink: &mut sink,
+            stop: Some(&stop),
+        };
+        let (warmup, measure, wd) = (self.params.warmup, self.params.measure, &self.watchdog);
+        let outcome = match pending {
+            Some(p) => sim.resume_run(p, wd, &mut opts)?,
+            None => sim.try_run_checkpointed(warmup, measure, wd, &mut opts)?,
+        };
+        match outcome {
+            RunOutcome::Completed(result) => {
+                // The run is done: its checkpoint is dead weight.
+                let _ = ck.store.remove(run.desc);
+                Ok(result)
+            }
+            RunOutcome::Interrupted(snap) => {
+                sink(&snap);
+                let mut journal = crate::lock_unpoisoned(&ck.journal);
+                let _ = journal.note_interrupted(run.what, snap.cycle());
+                let what = run.what.to_string();
+                Err(ExpError::Interrupted { what })
+            }
+        }
     }
 
     /// The canonical cache-key description of `key` (diagnostics and fault
@@ -1035,12 +827,8 @@ impl Campaign {
     /// Every result entering the process (fresh or loaded) is recorded as
     /// a stats artifact exactly once.
     ///
-    /// The full robustness path: the configuration is validated before the
-    /// cache is consulted, an irregular cache entry is surfaced as a typed
-    /// failure artifact (and treated as a miss), the simulation itself runs
-    /// behind a panic boundary under the campaign watchdog, and stores
-    /// retry transient I/O failures with backoff (a final store failure
-    /// only costs future warm starts, so it is recorded, not fatal).
+    /// The configuration is validated before the cache is consulted; the
+    /// rest of the robustness path is [`Campaign::resolve`].
     fn run_protected(&self, key: &RunKey) -> Result<SimResult, ExpError> {
         let specs = specs_for(key)?;
         let cfg = key.arch.config();
@@ -1055,134 +843,131 @@ impl Campaign {
             key.workload,
             key.policy.name()
         );
-        // Under --sanitize a cache hit would dodge the audit entirely, and
-        // under --intervals it would produce no time-series, so loads are
-        // skipped in both modes; the store below still refreshes the entry
-        // (probed and sanitized results are bit-identical to plain ones).
-        if let Some(d) = self.disk.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            match d.load_checked(&desc) {
-                Ok(Some(result)) => {
-                    crate::artifacts::record(key, &result);
-                    self.note_done(&what, "disk");
-                    return Ok(result);
-                }
-                Ok(None) => {}
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: d.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-        }
-        // A resumed campaign serves completed runs from the resume
-        // directory's own results store — no re-done work even when no
-        // `--cache-dir` is attached.
-        if let Some(ck) = self.ckpt.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            match ck.results.load_checked(&desc) {
-                Ok(Some(result)) => {
-                    ck.journal_completed(&what, result.digest(), "resume-cache");
-                    crate::artifacts::record(key, &result);
-                    self.note_done(&what, "disk");
-                    return Ok(result);
-                }
-                Ok(None) => {}
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: ck.results.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-            // Nothing finished: if an interrupt is already latched, don't
-            // start a fresh simulation just to stop it at its first cycle.
-            if crate::interrupt::requested() {
-                return Err(ExpError::Interrupted { what });
-            }
-        }
+        let rebuild = || key.policy.build();
+        let run = Run {
+            what: &what,
+            desc: &desc,
+            cfg: &cfg,
+            specs: &specs,
+            rebuild: &rebuild,
+        };
         // Dispatch the policy at its concrete type: the simulator below is
         // monomorphized per policy, removing the per-cycle virtual call.
         struct GridRun<'a> {
             campaign: &'a Campaign,
-            what: &'a str,
-            desc: &'a str,
-            cfg: &'a SimConfig,
-            specs: &'a [ThreadSpec],
-            /// The kind dispatching us, so the fragment-replay workers
-            /// can rebuild fresh copies of the same policy.
-            kind: PolicyKind,
+            run: &'a Run<'a>,
         }
         impl PolicyVisitor for GridRun<'_> {
-            type Out = Result<SimResult, ExpError>;
+            type Out = Result<(SimResult, RunFacts), ExpError>;
             fn visit<F: FetchPolicy + 'static>(self, policy: F) -> Self::Out {
-                let kind = self.kind;
-                let rebuild = move || kind.build();
-                self.campaign.simulate_policy(
-                    self.what,
-                    Some(self.desc),
-                    self.cfg,
-                    self.specs,
-                    policy,
-                    Some(&rebuild),
-                )
+                self.campaign.simulate(self.run, policy)
             }
         }
-        let dispatch = || {
+        let (result, facts) = self.resolve(&run, &|| {
             key.policy.dispatch(GridRun {
                 campaign: self,
-                what: &what,
-                desc: &desc,
-                cfg: &cfg,
-                specs: &specs,
-                kind: key.policy,
+                run: &run,
             })
-        };
-        let result = match dispatch() {
-            Ok(r) => r,
+        })?;
+        let total = self.params.warmup + self.params.measure;
+        crate::artifacts::record_with_runtime(
+            key,
+            &result,
+            facts.map(|f| (f.skipped, total)),
+            facts.map(|f| f.switches),
+            facts.and_then(|f| f.fragments),
+        );
+        self.note_done(&what, if facts.is_some() { "sim" } else { "disk" });
+        Ok(result)
+    }
+
+    /// Serve `run` from the disk cache or the resume store, or simulate it
+    /// and store the result in both — the one resolution step behind grid
+    /// and custom runs. Facts are `None` for a served result.
+    ///
+    /// An irregular cache entry is recorded as a typed failure and treated
+    /// as a miss; the simulation runs behind a panic boundary under the
+    /// campaign watchdog; stores retry transient I/O failures with backoff
+    /// (a final store failure only costs future warm starts, so it is
+    /// recorded, not fatal).
+    fn resolve(
+        &self,
+        run: &Run,
+        simulate: &dyn Fn() -> Result<(SimResult, RunFacts), ExpError>,
+    ) -> Result<(SimResult, Option<RunFacts>), ExpError> {
+        // Under --sanitize a cache hit would dodge the audit entirely, and
+        // under --intervals it would produce no time-series, so loads are
+        // skipped in both modes; the stores below still refresh the entry
+        // (probed and sanitized results are bit-identical to plain ones).
+        if !self.bypass_cache_loads() {
+            if let Some(r) = self.disk.as_ref().and_then(|d| self.load(d, run.desc)) {
+                return Ok((r, None));
+            }
+            // A resumed campaign serves completed runs from the resume
+            // directory's own results store — no re-done work even when no
+            // `--cache-dir` is attached.
+            if let Some(ck) = &self.ckpt {
+                if let Some(r) = self.load(&ck.results, run.desc) {
+                    ck.journal_completed(run.what, r.digest(), "resume-cache");
+                    return Ok((r, None));
+                }
+                // Nothing finished: if an interrupt is already latched,
+                // don't start a fresh simulation just to stop it at its
+                // first cycle.
+                if crate::interrupt::requested() {
+                    return Err(ExpError::Interrupted {
+                        what: run.what.to_string(),
+                    });
+                }
+            }
+        }
+        let (result, facts) = match simulate() {
             // An irregular checkpoint never poisons the result: record the
             // typed fault, delete the damaged entry (which is what disables
             // resume), and re-simulate once from scratch.
             Err(e @ ExpError::Checkpoint { .. }) => {
-                self.note_failure(&what, &e);
+                self.note_failure(run.what, &e);
                 if let Some(ck) = &self.ckpt {
-                    let _ = ck.store.remove(&desc);
+                    let _ = ck.store.remove(run.desc);
                 }
-                dispatch()?
+                simulate()?
             }
-            Err(e) => return Err(e),
+            other => other?,
         };
-        crate::artifacts::record_with_runtime(
-            key,
-            &result,
-            self.take_skip(&what),
-            self.take_switches(&what),
-            self.take_fragments(&what),
-        );
-        self.note_done(&what, "sim");
         if let Some(d) = &self.disk {
-            if let Err(e) = d.store_retrying(&desc, &result, 3) {
-                let e = ExpError::Io {
-                    context: format!("storing cache entry for {what}"),
-                    detail: e.to_string(),
-                };
-                eprintln!("cache: {e}");
-                self.note_failure(&desc, &e);
-            }
+            self.store(d, run, &result, "cache", "cache entry");
         }
         if let Some(ck) = &self.ckpt {
-            if let Err(e) = ck.results.store_retrying(&desc, &result, 3) {
-                let e = ExpError::Io {
-                    context: format!("storing resume result for {what}"),
-                    detail: e.to_string(),
-                };
-                eprintln!("checkpoint: {e}");
-                self.note_failure(&desc, &e);
-            }
-            ck.journal_completed(&what, result.digest(), "sim");
+            self.store(&ck.results, run, &result, "checkpoint", "resume result");
+            ck.journal_completed(run.what, result.digest(), "sim");
         }
-        Ok(result)
+        Ok((result, Some(facts)))
+    }
+
+    /// Load `desc` from `store`, recording an irregular entry as a typed
+    /// failure (and treating it as a miss).
+    fn load(&self, store: &DiskCache, desc: &str) -> Option<SimResult> {
+        store.load_checked(desc).unwrap_or_else(|fault| {
+            let e = ExpError::Cache {
+                path: store.entry_path(desc).display().to_string(),
+                fault,
+            };
+            self.note_failure(desc, &e);
+            None
+        })
+    }
+
+    /// Store `result` under `run.desc`, retrying transient I/O failures; a
+    /// final failure is logged under `log` and recorded, never fatal.
+    fn store(&self, store: &DiskCache, run: &Run, result: &SimResult, log: &str, entry: &str) {
+        if let Err(e) = store.store_retrying(run.desc, result, 3) {
+            let e = ExpError::Io {
+                context: format!("storing {entry} for {}", run.what),
+                detail: e.to_string(),
+            };
+            eprintln!("{log}: {e}");
+            self.note_failure(run.desc, &e);
+        }
     }
 
     /// Run an ad-hoc (config, workload, policy) combination through both
@@ -1221,94 +1006,16 @@ impl Campaign {
         if let Some(r) = crate::lock_unpoisoned(&self.custom).get(&desc) {
             return Ok(r.clone());
         }
-        // As in `run_protected`: --sanitize and --intervals bypass cache
-        // loads so the run actually executes under audit / with the probe.
-        let mut loaded = match self.disk.as_ref().filter(|_| !self.bypass_cache_loads()) {
-            Some(d) => match d.load_checked(&desc) {
-                Ok(r) => r,
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: d.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                    None
-                }
-            },
-            None => None,
+        let run = Run {
+            what: policy_desc,
+            desc: &desc,
+            cfg,
+            specs,
+            rebuild: &build,
         };
-        // The resume directory's results store also serves custom runs.
-        if let (None, Some(ck)) = (
-            &loaded,
-            self.ckpt.as_ref().filter(|_| !self.bypass_cache_loads()),
-        ) {
-            match ck.results.load_checked(&desc) {
-                Ok(Some(r)) => {
-                    ck.journal_completed(policy_desc, r.digest(), "resume-cache");
-                    loaded = Some(r);
-                }
-                Ok(None) => {
-                    if crate::interrupt::requested() {
-                        return Err(ExpError::Interrupted {
-                            what: policy_desc.to_string(),
-                        });
-                    }
-                }
-                Err(fault) => {
-                    let e = ExpError::Cache {
-                        path: ck.results.entry_path(&desc).display().to_string(),
-                        fault,
-                    };
-                    self.note_failure(&desc, &e);
-                }
-            }
-        }
-        let result = match loaded {
-            Some(r) => r,
-            None => {
-                let run = match self.simulate(policy_desc, Some(&desc), cfg, specs, &build) {
-                    // As on the grid path: an irregular checkpoint is
-                    // recorded, deleted, and re-simulated once from scratch.
-                    Err(e @ ExpError::Checkpoint { .. }) => {
-                        self.note_failure(policy_desc, &e);
-                        if let Some(ck) = &self.ckpt {
-                            let _ = ck.store.remove(&desc);
-                        }
-                        self.simulate(policy_desc, Some(&desc), cfg, specs, &build)
-                    }
-                    other => other,
-                };
-                let r = match run {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.note_failure(policy_desc, &e);
-                        return Err(e);
-                    }
-                };
-                if let Some(d) = &self.disk {
-                    if let Err(e) = d.store_retrying(&desc, &r, 3) {
-                        let e = ExpError::Io {
-                            context: format!("storing cache entry for {policy_desc}"),
-                            detail: e.to_string(),
-                        };
-                        eprintln!("cache: {e}");
-                        self.note_failure(&desc, &e);
-                    }
-                }
-                if let Some(ck) = &self.ckpt {
-                    if let Err(e) = ck.results.store_retrying(&desc, &r, 3) {
-                        let e = ExpError::Io {
-                            context: format!("storing resume result for {policy_desc}"),
-                            detail: e.to_string(),
-                        };
-                        eprintln!("checkpoint: {e}");
-                        self.note_failure(&desc, &e);
-                    }
-                    ck.journal_completed(policy_desc, r.digest(), "sim");
-                }
-                r
-            }
-        };
+        let (result, _) = self
+            .resolve(&run, &|| self.simulate(&run, build()))
+            .inspect_err(|e| self.note_failure(policy_desc, e))?;
         Ok(crate::lock_unpoisoned(&self.custom)
             .entry(desc)
             .or_insert(result)

@@ -13,6 +13,8 @@
 use std::cell::Cell;
 
 use dwarn_core::PolicyKind;
+use smt_experiments::runner::{parse_jobs, Campaign, ExpParams, RunKey};
+use smt_experiments::{artifacts, Arch};
 use smt_obs::{IntervalConfig, IntervalProbe, IntervalSeries, Probe};
 use smt_pipeline::{
     CheckpointOpts, FragmentOpts, MachineSnapshot, RecordingSanitizer, RunOutcome, SimConfig,
@@ -380,24 +382,80 @@ fn restore_at_random_k_equals_straight_run_including_awkward_cycles() {
     }
 }
 
+/// Lets the campaign tests below take turns: the stats-artifact sink they
+/// read run facts from is process-wide, and records every campaign run.
+static ARTIFACT_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn sink_turn() -> std::sync::MutexGuard<'static, ()> {
+    ARTIFACT_SINK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Run `key` on `campaign` and return its digest with the `fragments`
+/// fact of the stats document the run wrote (`None` = sequential). The
+/// caller holds the [`sink_turn`].
+fn campaign_run(campaign: &Campaign, key: &RunKey, tag: &str) -> (u64, Option<u64>) {
+    let dir = std::env::temp_dir().join(format!("dwarn-fragments-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    artifacts::enable(&dir).unwrap();
+    let digest = campaign.result(key).digest();
+    artifacts::flush().unwrap();
+    let docs: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(docs.len(), 1, "expected one stats document: {docs:?}");
+    let doc = smt_obs::Json::parse(&std::fs::read_to_string(&docs[0]).unwrap()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (digest, doc.get("fragments").and_then(|f| f.as_u64()))
+}
+
+fn campaign_key() -> RunKey {
+    let wl = workload(2, WorkloadClass::Mem);
+    RunKey::workload(Arch::Baseline, &wl, PolicyKind::DWarn)
+}
+
 #[test]
 fn campaign_fragmented_results_match_sequential_campaign() {
-    use smt_experiments::runner::{Campaign, ExpParams, RunKey};
-    use smt_experiments::Arch;
-
+    let _turn = sink_turn();
     let params = ExpParams::quick();
-    let wl = workload(2, WorkloadClass::Mem);
-    let key = RunKey::workload(Arch::Baseline, &wl, PolicyKind::DWarn);
+    let key = campaign_key();
+    let want = Campaign::new(params).result(&key).digest();
 
-    let plain = Campaign::new(params);
-    let want = plain.result(&key).digest();
-
+    // Only observed runs are split, so the fragmented campaign carries the
+    // sanitizer.
     let mut frag = Campaign::new(params);
+    frag.set_sanitize(true);
     frag.set_fragments(2_000);
     assert!(frag.fragments_enabled());
-    let got = frag.result(&key).digest();
+    let (got, fragments) = campaign_run(&frag, &key, "sanitized");
     assert_eq!(
         got, want,
         "campaign-level fragmented run diverged from sequential"
     );
+    let jobs = parse_jobs(std::env::var("SMT_JOBS").ok().as_deref()).unwrap();
+    if jobs >= 2 {
+        assert!(
+            fragments.is_some_and(|n| n >= 2),
+            "fragment replay did not engage: fragments = {fragments:?}"
+        );
+    } else {
+        println!("note: {jobs} job available; fragment replay needs 2, engagement not checked");
+    }
+}
+
+#[test]
+fn plain_campaign_with_fragments_runs_sequentially() {
+    let _turn = sink_turn();
+    let params = ExpParams::quick();
+    let key = campaign_key();
+    let want = Campaign::new(params).result(&key).digest();
+
+    // An unobserved run's scout pass would redo the replay's work.
+    let mut frag = Campaign::new(params);
+    frag.set_fragments(2_000);
+    let (got, fragments) = campaign_run(&frag, &key, "plain");
+    assert_eq!(got, want, "plain --fragments run diverged from sequential");
+    assert_eq!(fragments, None, "an unobserved run must not be split");
 }
