@@ -54,12 +54,13 @@ fn interval_probe_rate() -> f64 {
     let wl = workload(4, WorkloadClass::Mix);
     let mut best = 0.0f64;
     for trial in 0..=TRIALS {
-        let mut sim = Simulator::with_probe(
+        let mut sim = Simulator::try_with_probe(
             SimConfig::baseline(),
             PolicyKind::DWarn.build(),
             &wl.thread_specs(),
             IntervalProbe::new(IntervalConfig { window: WINDOW }),
-        );
+        )
+        .expect("baseline configuration is valid");
         let t0 = Instant::now();
         black_box(sim.run(0, MICRO_CYCLES));
         let rate = MICRO_CYCLES as f64 / t0.elapsed().as_secs_f64();

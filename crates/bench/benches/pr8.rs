@@ -105,7 +105,7 @@ fn main() {
         let stop = || seen.get();
         let mut opts = CheckpointOpts {
             interval: CKPT_INTERVAL,
-            sink: &mut sink,
+            sink: Some(&mut sink),
             stop: Some(&stop),
         };
         match sim

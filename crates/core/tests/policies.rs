@@ -2,6 +2,7 @@
 //! policy produces its paper-documented behaviour.
 
 use dwarn_core::PolicyKind;
+use smt_obs::RecordingProbe;
 use smt_pipeline::{SimConfig, SimResult, Simulator, ThreadSpec};
 use smt_trace::profile;
 
@@ -189,9 +190,11 @@ fn dcpred_limits_the_suspect_threads_resource_share() {
     // still fetching every cycle it wins ICOUNT priority.
     let wl = mix4(); // gzip, twolf, bzip2, mcf
     let occupancy = |kind: PolicyKind| {
-        let mut sim = Simulator::new(SimConfig::baseline(), kind.build(), &wl);
-        let (r, occ) = sim.run_sampled(10_000, 25_000, 8);
-        (r, occ.avg_iq_per_thread[3]) // mcf
+        let probe = RecordingProbe::new(wl.len(), 1).with_sampling(8, 10_000);
+        let mut sim =
+            Simulator::try_with_probe(SimConfig::baseline(), kind.build(), &wl, probe).unwrap();
+        let r = sim.run(10_000, 25_000);
+        (r, sim.into_probe().occupancy().avg_iq_per_thread[3]) // mcf
     };
     let (ric, ic_iq) = occupancy(PolicyKind::Icount);
     let (rdc, dc_iq) = occupancy(PolicyKind::DcPred);

@@ -504,11 +504,12 @@ fn trace_fault(kind: FaultKind, rng: &mut Rng, no_skip: bool) -> Outcome {
         Ok(rec) => {
             let replay = crate::error::protect("chaos trace replay", || {
                 let front = ThreadFront::from_recording(&rec, 7, Simulator::thread_addr_base(0));
-                let mut sim = Simulator::try_with_probe_fronts(
+                let mut sim = Simulator::try_with_parts(
                     SimConfig::baseline(),
                     PolicyKind::Icount.build(),
                     vec![front],
                     smt_obs::NullProbe,
+                    smt_pipeline::NullSanitizer,
                 )?;
                 sim.set_skip_enabled(!no_skip);
                 sim.try_run(200, 800, &chaos_watchdog())
@@ -839,7 +840,7 @@ fn ckpt_fault(
         let stop = || seen.get();
         let mut opts = CheckpointOpts {
             interval: 200,
-            sink: &mut sink,
+            sink: Some(&mut sink),
             stop: Some(&stop),
         };
         match sim.try_run_checkpointed(p.warmup, p.measure, &chaos_watchdog(), &mut opts) {

@@ -752,7 +752,7 @@ impl Campaign {
         let stop = crate::interrupt::requested;
         let mut opts = CheckpointOpts {
             interval: ck.interval,
-            sink: &mut sink,
+            sink: Some(&mut sink),
             stop: Some(&stop),
         };
         let (warmup, measure, wd) = (self.params.warmup, self.params.measure, &self.watchdog);

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use dwarn_core::PolicyKind;
 use smt_obs::{chrome_trace, Json, RecordingProbe};
-use smt_pipeline::Simulator;
+use smt_pipeline::{Simulator, Watchdog};
 use smt_workloads::WorkloadClass;
 
 use crate::runner::Arch;
@@ -140,12 +140,13 @@ pub fn run(o: &TraceOpts) -> Result<String, crate::error::ExpError> {
         class: o.class.as_str(),
     })?;
     let specs = wl.thread_specs();
-    let cfg = o.arch.config();
-    cfg.validate(specs.len())?;
-    let probe = RecordingProbe::new(specs.len(), o.ring).with_detail(o.detail);
-    let mut sim = Simulator::with_probe(cfg, o.policy.build(), &specs, probe);
-    let (result, occ) = sim.run_sampled(o.warmup, o.measure, o.sample_every);
+    let probe = RecordingProbe::new(specs.len(), o.ring)
+        .with_detail(o.detail)
+        .with_sampling(o.sample_every, o.warmup);
+    let mut sim = Simulator::try_with_probe(o.arch.config(), o.policy.build(), &specs, probe)?;
+    let result = sim.try_run(o.warmup, o.measure, &Watchdog::default())?;
     let probe = sim.into_probe();
+    let occ = probe.occupancy();
 
     let names: Vec<String> = wl.benchmarks.iter().map(|b| b.to_string()).collect();
     let trace = chrome_trace(probe.ring(), probe.samples(), &names);

@@ -277,7 +277,7 @@ fn snapshot_at(
     let stop = || hit.get();
     let mut opts = CheckpointOpts {
         interval,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: Some(&stop),
     };
     sim.try_run_checkpointed(WARMUP, MEASURE, &Watchdog::default(), &mut opts)
@@ -298,7 +298,7 @@ fn resume_digest(
     let mut sink = |_: &MachineSnapshot| {};
     let mut opts = CheckpointOpts {
         interval: 0,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: None,
     };
     match sim

@@ -53,7 +53,7 @@ fn interrupt_at_k(kind: PolicyKind, specs: &[ThreadSpec], skip: bool) -> Machine
     let stop = || seen.get();
     let mut opts = CheckpointOpts {
         interval: CAPTURE_INTERVAL,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: Some(&stop),
     };
     match sim
@@ -80,7 +80,7 @@ fn resumed_digest(
     let mut sink = |_: &MachineSnapshot| {};
     let mut opts = CheckpointOpts {
         interval: 0,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: None,
     };
     match sim
@@ -171,7 +171,7 @@ fn restored_run_is_sanitizer_clean() {
         let mut sink = |_: &MachineSnapshot| {};
         let mut opts = CheckpointOpts {
             interval: 0,
-            sink: &mut sink,
+            sink: Some(&mut sink),
             stop: None,
         };
         let got = match sim

@@ -1151,7 +1151,7 @@ mod tests {
 impl<P: Probe> Sim<P> {
     fn step(&mut self) {
         if P::ENABLED {
-            self.probe.on_sample(1);
+            self.probe.on_cycle_state(1);
         }
         self.probe.on_gate(2);
         if !P::ENABLED {
@@ -1171,7 +1171,7 @@ impl<P: Probe> Sim<P> {
                 .find(|c| c.hook == h)
                 .unwrap_or_else(|| panic!("{h} not found"))
         };
-        assert!(by_hook("on_sample").gated, "inside if ENABLED");
+        assert!(by_hook("on_cycle_state").gated, "inside if ENABLED");
         assert!(!by_hook("on_gate").gated, "no gate");
         assert!(by_hook("on_ungate").gated, "after !ENABLED guard");
         assert!(by_hook("on_warn_change").gated, "inside tracked hook body");

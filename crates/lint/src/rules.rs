@@ -207,10 +207,9 @@ impl std::fmt::Display for Diagnostic {
 /// the call (snapshot vecs, PolicyView, gate classification), so the call
 /// site itself must sit under a `const ENABLED` gate. Shared by SMT007
 /// (lexical scan) and SMT011 (structural walk, see `model`/`xrules`).
-pub const GATED_HOOKS: [&str; 8] = [
+pub const GATED_HOOKS: [&str; 7] = [
     "on_cycle_state",
     "on_quiescent_span",
-    "on_sample",
     "on_gate",
     "on_ungate",
     "on_warn_change",
@@ -658,7 +657,7 @@ mod tests {
     #[test]
     fn enabled_gates_satisfy_smt007() {
         let block =
-            "impl Sim { fn tick(&mut self) { if P::ENABLED { self.probe.on_sample(&s); } } }\n";
+            "impl Sim { fn tick(&mut self) { if P::ENABLED { self.probe.on_cycle_state(&s); } } }\n";
         assert!(codes("crates/pipeline/src/sim.rs", block).is_empty());
         let guard = "impl Sim { fn feed(&mut self) { if !P::ENABLED { return; } self.probe.on_quiescent_span(&s, 4); } }\n";
         assert!(codes("crates/pipeline/src/sim.rs", guard).is_empty());
@@ -680,7 +679,7 @@ mod tests {
             "impl Sim { fn commit(&mut self) { self.probe.on_commit(self.now, t, seq, pc); } }\n";
         assert!(codes("crates/pipeline/src/sim.rs", src).is_empty());
         // Definitions (not calls) of the tracked hooks are fine too.
-        let def = "impl Probe for P { fn on_sample(&mut self, _s: &S) {} }\n";
+        let def = "impl Probe for P { fn on_cycle_state(&mut self, _s: &S) {} }\n";
         assert!(codes("crates/pipeline/src/sim.rs", def).is_empty());
     }
 

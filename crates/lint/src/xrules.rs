@@ -799,7 +799,7 @@ fn foo_fires() { assert_caught(Mutation::Leak, InvariantCode::FooCheck); }
 impl<P: Probe> Sim<P> {
     fn step(&mut self) {
         if P::ENABLED {
-            self.probe.on_sample(1);
+            self.probe.on_cycle_state(1);
         }
         self.probe.on_gate(2);
     }

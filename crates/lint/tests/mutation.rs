@@ -83,7 +83,7 @@ fn ungating_a_hook_fires_smt011() {
     ws.append(
         "crates/pipeline/src/sim.rs",
         "\nfn rogue_probe_poke<P: Probe>(probe: &mut P, state: &CycleState) {\n    \
-         probe.on_sample(state);\n}\n",
+         probe.on_cycle_state(state);\n}\n",
     );
     let r = ws.run();
     assert!(

@@ -407,7 +407,7 @@ impl IntervalSeries {
     }
 }
 
-/// The interval sampler. Attach via `Simulator::with_probe` (or the
+/// The interval sampler. Attach via `Simulator::try_with_probe` (or the
 /// campaign's `--intervals` flag) and call [`IntervalProbe::into_series`]
 /// after the run. Implements [`Probe`] with `ENABLED = true`; the
 /// simulator's per-cycle state feeding stays compiled out for

@@ -7,7 +7,7 @@
 //!
 //! * [`Probe`] — a trait of pipeline hook points (fetch, dispatch, issue,
 //!   commit, squash, gate/ungate, L1-miss begin/end, L2-miss declare,
-//!   occupancy samples). Every method has an empty default body and the
+//!   end-of-cycle resource state). Every method has an empty default body and the
 //!   simulator is generic over `P: Probe`, so the disabled case
 //!   ([`NullProbe`]) monomorphizes to nothing — no virtual calls, no
 //!   branches, no allocations.
@@ -17,7 +17,8 @@
 //!   are dropped first, with a drop count kept).
 //! * [`RecordingProbe`] — the batteries-included [`Probe`]: per-thread
 //!   counters, miss-latency and gate-duration histograms, the event ring,
-//!   and per-thread occupancy time-series.
+//!   and an occupancy time-series sampled from the end-of-cycle state, with
+//!   its [`OccupancyStats`] summary.
 //! * [`IntervalProbe`] — fixed-window interval sampler: per-interval,
 //!   per-thread time-series (IPC, gate breakdown, miss counts, occupancy
 //!   integrals) with closed-form accounting across quiescence-skipped
@@ -40,6 +41,6 @@ pub use chrome::chrome_trace;
 pub use interval::{Interval, IntervalConfig, IntervalProbe, IntervalSeries, ThreadWindow};
 pub use json::Json;
 pub use probe::{CycleState, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
-pub use record::RecordingProbe;
+pub use record::{OccupancyStats, RecordingProbe};
 pub use registry::{Histogram, Registry};
 pub use ring::{EventKind, EventRing, TraceEvent};

@@ -7,7 +7,7 @@
 //! cares about — and the no-op [`NullProbe`] compiles away entirely.
 //!
 //! Hooks additionally guarded by per-cycle bookkeeping (gate-transition
-//! tracking, occupancy-sample construction) are skipped by the simulator
+//! tracking, end-of-cycle state construction) are skipped by the simulator
 //! when [`Probe::ENABLED`] is `false`, so a default run pays nothing at all.
 
 /// Why a thread did not deliver instructions in a fetch cycle.
@@ -64,8 +64,10 @@ impl SquashKind {
     }
 }
 
-/// One occupancy sample of the shared back-end, taken every `sample_every`
-/// cycles by `Simulator::run_sampled`.
+/// One occupancy sample of the shared back-end, taken from the end-of-cycle
+/// [`CycleState`] by a sampling
+/// [`RecordingProbe`](crate::RecordingProbe::with_sampling). `cycle` is the
+/// clock *after* the sampled cycle (its [`CycleState::cycle`] + 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancySample {
     pub cycle: u64,
@@ -117,7 +119,7 @@ pub struct CycleState<'a> {
 pub trait Probe {
     /// `false` only for [`NullProbe`]: lets the simulator skip bookkeeping
     /// that exists purely to feed the probe (gate-transition tracking,
-    /// occupancy-sample construction) at compile time.
+    /// end-of-cycle state construction) at compile time.
     const ENABLED: bool = true;
 
     /// An instruction entered the fetch queue.
@@ -169,9 +171,6 @@ pub trait Probe {
 
     /// An instruction-cache miss stalled a thread's fetch until `ready_at`.
     fn on_ifetch_miss(&mut self, _cycle: u64, _thread: usize, _addr: u64, _ready_at: u64) {}
-
-    /// A shared-resource occupancy sample (from `run_sampled`).
-    fn on_sample(&mut self, _sample: &OccupancySample) {}
 
     /// End-of-cycle resource state for one normally-stepped cycle. The
     /// interval sampler accumulates its time-series here.
@@ -260,9 +259,6 @@ impl<P: Probe> Probe for &mut P {
     }
     fn on_ifetch_miss(&mut self, cycle: u64, thread: usize, addr: u64, ready_at: u64) {
         (**self).on_ifetch_miss(cycle, thread, addr, ready_at)
-    }
-    fn on_sample(&mut self, sample: &OccupancySample) {
-        (**self).on_sample(sample)
     }
     fn on_cycle_state(&mut self, state: &CycleState<'_>) {
         (**self).on_cycle_state(state)

@@ -2,13 +2,15 @@
 //!
 //! [`RecordingProbe`] keeps per-thread event counters (O(1) vector updates
 //! on the hot path — no string formatting), miss-latency and gate-duration
-//! histograms, a bounded [`EventRing`], and the occupancy time-series from
-//! `run_sampled`. A [`Registry`] view with conventional names is built on
-//! demand by [`RecordingProbe::registry`].
+//! histograms, a bounded [`EventRing`], and — when asked to through
+//! [`RecordingProbe::with_sampling`] — an occupancy time-series sampled from
+//! the end-of-cycle state, summarised by [`RecordingProbe::occupancy`]. A
+//! [`Registry`] view with conventional names is built on demand by
+//! [`RecordingProbe::registry`].
 
 use std::collections::HashMap;
 
-use crate::probe::{GateReason, OccupancySample, Probe, SquashKind};
+use crate::probe::{CycleState, GateReason, OccupancySample, Probe, SquashKind};
 use crate::registry::{Histogram, Registry};
 use crate::ring::{EventKind, EventRing, TraceEvent};
 
@@ -33,6 +35,26 @@ pub struct ThreadCounters {
     pub gates_by_reason: [u64; 3],
 }
 
+/// Time-averaged occupancy of the shared back-end resources over the
+/// sampled cycles — the quantity the paper's whole argument is about ("the
+/// actual problems are the issue queues and the physical registers").
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OccupancyStats {
+    pub samples: u64,
+    /// Mean issue-queue occupancy [int, fp, ldst].
+    pub avg_iq: [f64; 3],
+    /// Peak issue-queue occupancy [int, fp, ldst].
+    pub peak_iq: [u32; 3],
+    /// Mean physical registers in use (int, fp).
+    pub avg_regs: (f64, f64),
+    /// Peak physical registers in use (int, fp).
+    pub peak_regs: (u32, u32),
+    /// Mean per-thread ROB occupancy.
+    pub avg_rob: Vec<f64>,
+    /// Mean per-thread issue-queue entries held.
+    pub avg_iq_per_thread: Vec<f64>,
+}
+
 /// A [`Probe`] that records everything at bounded cost.
 #[derive(Debug, Clone)]
 pub struct RecordingProbe {
@@ -43,6 +65,8 @@ pub struct RecordingProbe {
     /// instants multiply ring traffic by the IPC.
     detail: bool,
     ring: EventRing,
+    /// Occupancy sampling schedule `(every, from_cycle)`; `None` is off.
+    sampling: Option<(u64, u64)>,
     samples: Vec<OccupancySample>,
     /// Outstanding L1 misses: load_id → (thread, begin cycle).
     open_l1: HashMap<u64, (usize, u64)>,
@@ -64,6 +88,7 @@ impl RecordingProbe {
             threads: vec![ThreadCounters::default(); num_threads],
             detail: false,
             ring: EventRing::new(ring_capacity),
+            sampling: None,
             samples: Vec::new(),
             open_l1: HashMap::new(),
             open_gate: vec![None; num_threads],
@@ -77,6 +102,19 @@ impl RecordingProbe {
     /// the ring (counters always count them regardless).
     pub fn with_detail(mut self, detail: bool) -> RecordingProbe {
         self.detail = detail;
+        self
+    }
+
+    /// Sample shared-resource occupancy at cycles `from_cycle`,
+    /// `from_cycle + every`, ... — pass the warmup length to sample a
+    /// fresh simulator's measured window. A sample reads the end-of-cycle
+    /// state and is labelled with the clock after its cycle
+    /// ([`OccupancySample::cycle`]). Quiescence-skipped spans yield exactly
+    /// the samples stepping through them would, so skipping never changes
+    /// the series.
+    pub fn with_sampling(mut self, every: u64, from_cycle: u64) -> RecordingProbe {
+        assert!(every >= 1, "sampling interval must be at least one cycle");
+        self.sampling = Some((every, from_cycle));
         self
     }
 
@@ -94,6 +132,70 @@ impl RecordingProbe {
 
     pub fn samples(&self) -> &[OccupancySample] {
         &self.samples
+    }
+
+    /// The time-averaged summary of [`RecordingProbe::samples`] (all zero
+    /// without samples).
+    pub fn occupancy(&self) -> OccupancyStats {
+        let n = self.threads.len();
+        let mut occ = OccupancyStats {
+            samples: self.samples.len() as u64,
+            avg_rob: vec![0.0; n],
+            avg_iq_per_thread: vec![0.0; n],
+            ..Default::default()
+        };
+        for s in &self.samples {
+            for (i, &q) in s.iq.iter().enumerate() {
+                occ.avg_iq[i] += q as f64;
+                occ.peak_iq[i] = occ.peak_iq[i].max(q);
+            }
+            occ.avg_regs.0 += s.regs_int as f64;
+            occ.avg_regs.1 += s.regs_fp as f64;
+            occ.peak_regs.0 = occ.peak_regs.0.max(s.regs_int);
+            occ.peak_regs.1 = occ.peak_regs.1.max(s.regs_fp);
+            for t in 0..n {
+                occ.avg_rob[t] += s.rob[t] as f64;
+                occ.avg_iq_per_thread[t] += s.iq_per_thread[t] as f64;
+            }
+        }
+        let samples = occ.samples.max(1) as f64;
+        for v in &mut occ.avg_iq {
+            *v /= samples;
+        }
+        occ.avg_regs.0 /= samples;
+        occ.avg_regs.1 /= samples;
+        for v in occ
+            .avg_rob
+            .iter_mut()
+            .chain(occ.avg_iq_per_thread.iter_mut())
+        {
+            *v /= samples;
+        }
+        occ
+    }
+
+    /// Take the scheduled samples falling in the `span` cycles that start
+    /// at `state.cycle`; `state` holds for every one of them.
+    fn sample(&mut self, state: &CycleState<'_>, span: u64) {
+        let Some((every, from)) = self.sampling else {
+            return;
+        };
+        let mut c = if state.cycle <= from {
+            from
+        } else {
+            from + (state.cycle - from).div_ceil(every) * every
+        };
+        while c < state.cycle + span {
+            self.samples.push(OccupancySample {
+                cycle: c + 1,
+                iq: state.iq,
+                regs_int: state.regs_int,
+                regs_fp: state.regs_fp,
+                rob: state.rob.to_vec(),
+                iq_per_thread: state.iq_per_thread.to_vec(),
+            });
+            c += every;
+        }
     }
 
     pub fn l1_latency(&self, t: usize) -> &Histogram {
@@ -318,8 +420,12 @@ impl Probe for RecordingProbe {
         });
     }
 
-    fn on_sample(&mut self, sample: &OccupancySample) {
-        self.samples.push(sample.clone());
+    fn on_cycle_state(&mut self, state: &CycleState<'_>) {
+        self.sample(state, 1);
+    }
+
+    fn on_quiescent_span(&mut self, state: &CycleState<'_>, span: u64) {
+        self.sample(state, span);
     }
 
     fn on_policy_switch(&mut self, cycle: u64, from: &'static str, to: &'static str) {
@@ -404,6 +510,50 @@ mod tests {
         assert_eq!(r.counter("commit/t0"), 1);
         assert_eq!(r.counter("commit/t1"), 2);
         assert_eq!(r.counter("commit"), 3);
+    }
+
+    fn state<'a>(cycle: u64, rob: &'a [u32], gate: &'a [Option<GateReason>]) -> CycleState<'a> {
+        CycleState {
+            cycle,
+            iq: [cycle as u32, 1, 2],
+            regs_int: 3,
+            regs_fp: 4,
+            rob,
+            iq_per_thread: rob,
+            outstanding_miss: rob,
+            gate,
+        }
+    }
+
+    #[test]
+    fn sampling_follows_the_schedule_across_spans() {
+        let (rob, gate) = ([5u32], [None]);
+        let mut stepped = RecordingProbe::new(1, 64).with_sampling(4, 10);
+        for c in 0..30 {
+            stepped.on_cycle_state(&state(c, &rob, &gate));
+        }
+        let labels: Vec<u64> = stepped.samples().iter().map(|s| s.cycle).collect();
+        assert_eq!(
+            labels,
+            vec![11, 15, 19, 23, 27],
+            "cycle after each sampled one"
+        );
+        // A span covering several sample cycles yields the same samples,
+        // each with the span's frozen state.
+        let mut spanned = RecordingProbe::new(1, 64).with_sampling(4, 10);
+        for c in 0..12 {
+            spanned.on_cycle_state(&state(c, &rob, &gate));
+        }
+        spanned.on_quiescent_span(&state(12, &rob, &gate), 18);
+        let labels: Vec<u64> = spanned.samples().iter().map(|s| s.cycle).collect();
+        assert_eq!(labels, vec![11, 15, 19, 23, 27]);
+        assert!(spanned.samples()[1..].iter().all(|s| s.iq[0] == 12));
+        let occ = stepped.occupancy();
+        assert_eq!(occ.samples, 5);
+        assert_eq!(occ.avg_iq[0], (10 + 14 + 18 + 22 + 26) as f64 / 5.0);
+        assert_eq!(occ.peak_iq[0], 26);
+        assert_eq!(occ.avg_rob, vec![5.0]);
+        assert_eq!(RecordingProbe::new(2, 64).occupancy().avg_rob, vec![0.0; 2]);
     }
 
     #[test]

@@ -181,11 +181,10 @@ where
             format!("replay simulator construction failed: {e}"),
         )
     })?;
-    let mut sink = |_s: &MachineSnapshot| {};
     let stop = || true;
     let mut opts = CheckpointOpts {
         interval: fragment_cycles,
-        sink: &mut sink,
+        sink: None,
         stop: Some(&stop),
     };
 
@@ -395,7 +394,7 @@ where
             let stop = || failed.load(Ordering::Relaxed);
             let mut copts = CheckpointOpts {
                 interval: opts.fragment_cycles,
-                sink: &mut sink,
+                sink: Some(&mut sink),
                 stop: Some(&stop),
             };
             let outcome = self.try_run_checkpointed(warmup, measure, wd, &mut copts);

@@ -53,4 +53,4 @@ pub use sanitizer::{
 pub use sim::{CheckpointOpts, Mutation, PendingRun, RunOutcome, Simulator, ThreadSpec};
 pub use smt_obs::{NullProbe, Probe};
 pub use snapshot::{MachineSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use stats::{OccupancyStats, SimResult, ThreadStats};
+pub use stats::{SimResult, ThreadStats};

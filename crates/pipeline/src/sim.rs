@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use smt_obs::{CycleState, GateReason, NullProbe, OccupancySample, Probe, SquashKind};
+use smt_obs::{CycleState, GateReason, NullProbe, Probe, SquashKind};
 use smt_trace::snapio::{self, SnapError, SnapReader};
 use smt_trace::{BenchProfile, DynInst, OpClass, INST_BYTES, NUM_ARCH_REGS};
 use smt_uarch::{
@@ -353,20 +353,13 @@ impl<F: FetchPolicy> Simulator<NullProbe, NullSanitizer, F> {
     /// Panics on an invalid configuration; [`Simulator::try_new`] is the
     /// fallible form.
     pub fn new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Self {
-        Simulator::with_probe(cfg, policy, specs, NullProbe)
+        Simulator::try_new(cfg, policy, specs).expect("invalid configuration")
     }
 
     /// As [`Simulator::new`], but an invalid configuration is returned as a
     /// typed [`ConfigError`] instead of panicking.
     pub fn try_new(cfg: SimConfig, policy: F, specs: &[ThreadSpec]) -> Result<Self, ConfigError> {
-        Simulator::try_with_probe(cfg, policy, specs, NullProbe)
-    }
-
-    /// Build a simulator from pre-constructed front-ends — the entry point
-    /// for replaying recorded traces ([`ThreadFront::from_recording`]) or
-    /// mixing recorded and synthetic contexts.
-    pub fn with_fronts(cfg: SimConfig, policy: F, fronts: Vec<ThreadFront>) -> Self {
-        Simulator::with_probe_fronts(cfg, policy, fronts, NullProbe)
+        Simulator::try_with_specs(cfg, policy, specs, NullProbe, NullSanitizer)
     }
 }
 
@@ -389,72 +382,28 @@ impl<S: Sanitizer, F: FetchPolicy> Simulator<NullProbe, S, F> {
         specs: &[ThreadSpec],
         sanitizer: S,
     ) -> Result<Self, ConfigError> {
-        let fronts: Vec<ThreadFront> = specs
-            .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                ThreadFront::new(&s.profile, s.seed, Simulator::thread_addr_base(t), s.skip)
-            })
-            .collect();
-        Simulator::try_with_parts(cfg, policy, fronts, NullProbe, sanitizer)
+        Simulator::try_with_specs(cfg, policy, specs, NullProbe, sanitizer)
     }
 }
 
 impl<P: Probe, F: FetchPolicy> Simulator<P, NullSanitizer, F> {
-    /// As [`Simulator::new`], with an explicit observability probe.
-    pub fn with_probe(cfg: SimConfig, policy: F, specs: &[ThreadSpec], probe: P) -> Self {
-        Self::try_with_probe(cfg, policy, specs, probe).expect("invalid configuration")
-    }
-
-    /// As [`Simulator::with_probe`], returning a typed [`ConfigError`] on an
-    /// invalid configuration.
+    /// As [`Simulator::try_new`] with an explicit observability probe.
     pub fn try_with_probe(
         cfg: SimConfig,
         policy: F,
         specs: &[ThreadSpec],
         probe: P,
     ) -> Result<Self, ConfigError> {
-        let fronts: Vec<ThreadFront> = specs
-            .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                ThreadFront::new(&s.profile, s.seed, Simulator::thread_addr_base(t), s.skip)
-            })
-            .collect();
-        Self::try_with_probe_fronts(cfg, policy, fronts, probe)
-    }
-
-    /// As [`Simulator::with_fronts`], with an explicit observability probe.
-    pub fn with_probe_fronts(
-        cfg: SimConfig,
-        policy: F,
-        fronts: Vec<ThreadFront>,
-        probe: P,
-    ) -> Self {
-        Self::try_with_probe_fronts(cfg, policy, fronts, probe).expect("invalid configuration")
-    }
-
-    /// As [`Simulator::with_probe_fronts`], returning a typed
-    /// [`ConfigError`] on an invalid configuration.
-    pub fn try_with_probe_fronts(
-        cfg: SimConfig,
-        policy: F,
-        fronts: Vec<ThreadFront>,
-        probe: P,
-    ) -> Result<Self, ConfigError> {
-        Simulator::try_with_parts(cfg, policy, fronts, probe, NullSanitizer)
+        Simulator::try_with_specs(cfg, policy, specs, probe, NullSanitizer)
     }
 }
 
 impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
-    /// The full builder: explicit probe *and* sanitizer. All other
-    /// constructors delegate here; sanitized campaign runs attach a
-    /// [`RecordingSanitizer`](crate::sanitizer::RecordingSanitizer) through
-    /// this entry point.
-    /// As [`Simulator::try_with_parts`], building the per-thread front-ends
-    /// from specs (the standard synthetic-trace path) — the entry point for
-    /// runs that attach both a probe and a sanitizer, e.g. `--sanitize`
-    /// campaign runs with interval telemetry.
+    /// Build a simulator with an explicit probe *and* sanitizer, one
+    /// synthetic-trace front-end per spec at its
+    /// [`Simulator::thread_addr_base`]. Every spec-taking constructor
+    /// delegates here; `--sanitize` campaign runs with interval telemetry
+    /// attach both observers through it.
     pub fn try_with_specs(
         cfg: SimConfig,
         policy: F,
@@ -472,6 +421,11 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         Simulator::try_with_parts(cfg, policy, fronts, probe, sanitizer)
     }
 
+    /// Build a simulator from pre-constructed front-ends — the one
+    /// constructor that takes fronts rather than specs: replaying recorded
+    /// traces ([`ThreadFront::from_recording`]), mixing recorded and
+    /// synthetic contexts, or placing contexts at custom address bases.
+    /// An invalid configuration is a typed [`ConfigError`].
     pub fn try_with_parts(
         cfg: SimConfig,
         policy: F,
@@ -981,143 +935,32 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
     }
 
     /// As [`Simulator::run`], but aborts with a typed [`SimError`] when the
-    /// watchdog detects no forward progress or a budget overrun.
+    /// watchdog detects no forward progress or a budget overrun. This is
+    /// the checkpointed driver with no checkpoints, no sink and no stop
+    /// request, so an abort takes no snapshot.
     pub fn try_run(
         &mut self,
         warmup: u64,
         measure: u64,
         wd: &Watchdog,
     ) -> Result<SimResult, SimError> {
-        let mut watch = WatchState::new(self);
-        self.run_guarded(warmup, &mut watch, wd)?;
-        let stats_base = self.stats.clone();
-        let mem_base: Vec<_> = (0..self.num_threads())
-            .map(|t| self.hier.thread_stats(t))
-            .collect();
-        let pred_base = (self.branches.predictions, self.branches.mispredictions);
-        self.run_guarded(measure, &mut watch, wd)?;
-        Ok(self.window_result(measure, stats_base, mem_base, pred_base))
-    }
-
-    /// Advance `cycles` cycles under the watchdog, letting the quiescence
-    /// engine take provably idle spans in bulk (when the attached policy
-    /// permits it and the escape hatch is open). Bit-identical to stepping
-    /// `cycles` times and checking after each step.
-    fn run_guarded(
-        &mut self,
-        cycles: u64,
-        watch: &mut WatchState,
-        wd: &Watchdog,
-    ) -> Result<(), SimError> {
-        let mut progressed = 0;
-        self.run_guarded_counted(cycles, watch, wd, &mut progressed)
-    }
-
-    /// As [`Simulator::run`], additionally sampling shared-resource
-    /// occupancy every `sample_every` cycles over the measured window.
-    /// Guarded by the default [`Watchdog`] like [`Simulator::run`].
-    pub fn run_sampled(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        sample_every: u64,
-    ) -> (SimResult, crate::stats::OccupancyStats) {
-        assert!(sample_every >= 1);
-        let wd = Watchdog::default();
-        let mut watch = WatchState::new(self);
-        if let Err(e) = self.run_guarded(warmup, &mut watch, &wd) {
-            panic!("simulation aborted: {e}");
-        }
-        let n = self.num_threads();
-        let mut occ = crate::stats::OccupancyStats {
-            avg_rob: vec![0.0; n],
-            avg_iq_per_thread: vec![0.0; n],
-            ..Default::default()
+        let mut opts = CheckpointOpts {
+            interval: 0,
+            sink: None,
+            stop: None,
         };
-        let stats_base = self.stats.clone();
-        let mem_base: Vec<_> = (0..n).map(|t| self.hier.thread_stats(t)).collect();
-        let pred_base = (self.branches.predictions, self.branches.mispredictions);
-        let skip = self.skip_active();
-        let mut c = 0u64;
-        while c < measure {
-            // Sample cycles must step naively (the sample reads live state
-            // at the exact naive cycle), so skips are capped at the next
-            // sample boundary.
-            if skip && !c.is_multiple_of(sample_every) {
-                let to_boundary = sample_every - c % sample_every;
-                let cap = watch.skip_cap(self, &wd).min(measure - c).min(to_boundary);
-                let k = self.try_skip(cap);
-                if k > 0 {
-                    watch.bulk_advance(k);
-                    c += k;
-                    continue;
-                }
-            }
-            self.step();
-            if let Err(e) = watch.check(self, &wd) {
-                panic!("simulation aborted: {e}");
-            }
-            if c.is_multiple_of(sample_every) {
-                occ.samples += 1;
-                let iq = self.iq_usage();
-                for (i, &q) in iq.iter().enumerate() {
-                    occ.avg_iq[i] += q as f64;
-                    occ.peak_iq[i] = occ.peak_iq[i].max(q);
-                }
-                let (ri, rf) = (self.regs_int.in_use(), self.regs_fp.in_use());
-                occ.avg_regs.0 += ri as f64;
-                occ.avg_regs.1 += rf as f64;
-                occ.peak_regs.0 = occ.peak_regs.0.max(ri);
-                occ.peak_regs.1 = occ.peak_regs.1.max(rf);
-                for t in 0..n {
-                    occ.avg_rob[t] += self.robs[t].len() as f64;
-                    occ.avg_iq_per_thread[t] += self.iq_held[t] as f64;
-                }
-                if P::ENABLED {
-                    let sample = OccupancySample {
-                        cycle: self.now,
-                        iq,
-                        regs_int: ri,
-                        regs_fp: rf,
-                        rob: (0..n).map(|t| self.robs[t].len() as u32).collect(),
-                        iq_per_thread: self.iq_held.clone(),
-                    };
-                    self.probe.on_sample(&sample);
-                }
-            }
-            c += 1;
+        match self.try_run_checkpointed(warmup, measure, wd, &mut opts)? {
+            RunOutcome::Completed(result) => Ok(result),
+            RunOutcome::Interrupted(_) => unreachable!("a run without a stop request completes"),
         }
-        let samples = occ.samples.max(1) as f64;
-        for v in &mut occ.avg_iq {
-            *v /= samples;
-        }
-        occ.avg_regs.0 /= samples;
-        occ.avg_regs.1 /= samples;
-        for v in occ
-            .avg_rob
-            .iter_mut()
-            .chain(occ.avg_iq_per_thread.iter_mut())
-        {
-            *v /= samples;
-        }
-        (
-            self.window_result(measure, stats_base, mem_base, pred_base),
-            occ,
-        )
     }
 
-    /// Build the measured-window deltas.
-    fn window_result(
-        &self,
-        measure: u64,
-        stats_base: Vec<ThreadStats>,
-        mem_base: Vec<smt_uarch::ThreadMemStats>,
-        pred_base: (u64, u64),
-    ) -> SimResult {
+    /// Build the measured-window deltas against the boundary `bases`.
+    fn window_result(&self, measure: u64, bases: RunBases) -> SimResult {
         let threads: Vec<ThreadStats> = self
             .stats
             .iter()
-            .zip(&stats_base)
+            .zip(&bases.stats)
             .map(|(a, b)| ThreadStats {
                 fetched: a.fetched - b.fetched,
                 wrong_path_fetched: a.wrong_path_fetched - b.wrong_path_fetched,
@@ -1134,7 +977,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         let mem = (0..self.num_threads())
             .map(|t| {
                 let a = self.hier.thread_stats(t);
-                let b = mem_base[t];
+                let b = bases.mem[t];
                 smt_uarch::ThreadMemStats {
                     loads: a.loads - b.loads,
                     l1_misses: a.l1_misses - b.l1_misses,
@@ -1143,8 +986,8 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 }
             })
             .collect();
-        let preds = self.branches.predictions - pred_base.0;
-        let mis = self.branches.mispredictions - pred_base.1;
+        let preds = self.branches.predictions - bases.pred.0;
+        let mis = self.branches.mispredictions - bases.pred.1;
         SimResult {
             cycles: measure,
             threads,
@@ -2790,7 +2633,8 @@ pub struct CheckpointOpts<'a> {
     pub interval: u64,
     /// Receives every emitted checkpoint (periodic ones, and the final
     /// resumable checkpoint emitted when the watchdog aborts the run).
-    pub sink: &'a mut dyn FnMut(&MachineSnapshot),
+    /// `None` emits nothing: no snapshot is even taken.
+    pub sink: Option<&'a mut dyn FnMut(&MachineSnapshot)>,
     /// Polled between chunks; returning `true` interrupts the run with
     /// [`RunOutcome::Interrupted`] (the caller owns the returned snapshot,
     /// so it is *not* also sent to the sink).
@@ -3078,11 +2922,26 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         &self.stats
     }
 
-    /// As [`run_guarded`](Self::run_guarded), additionally reporting how
-    /// many cycles actually advanced through `progressed` — on a watchdog
-    /// abort the caller needs the exact remaining budget for the resumable
-    /// checkpoint. A stepped cycle counts *before* the watchdog verdict:
-    /// the step completed even when the check then aborts the run.
+    /// The measurement bases at the warmup/measure boundary.
+    fn run_bases(&self) -> RunBases {
+        RunBases {
+            stats: self.stats.clone(),
+            mem: (0..self.num_threads())
+                .map(|t| self.hier.thread_stats(t))
+                .collect(),
+            pred: (self.branches.predictions, self.branches.mispredictions),
+        }
+    }
+
+    /// The one step loop: advance `cycles` cycles under the watchdog,
+    /// letting the quiescence engine take provably idle spans in bulk
+    /// (when the attached policy permits it and the escape hatch is open).
+    /// Bit-identical to stepping `cycles` times and checking after each
+    /// step. Reports how many cycles actually advanced through
+    /// `progressed` — on a watchdog abort the caller needs the exact
+    /// remaining budget for the resumable checkpoint. A stepped cycle
+    /// counts *before* the watchdog verdict: the step completed even when
+    /// the check then aborts the run.
     fn run_guarded_counted(
         &mut self,
         cycles: u64,
@@ -3140,10 +2999,12 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
         snap
     }
 
-    /// The checkpointed run driver: advance the run in `interval`-sized
-    /// chunks, emitting a resumable checkpoint after each chunk, polling
-    /// the stop request between chunks, and upgrading a watchdog abort
-    /// with a final resumable checkpoint before returning the typed error.
+    /// The run driver — every run entry point ends here: advance the run
+    /// in `interval`-sized chunks (one chunk per phase when `interval` is
+    /// 0), emitting a resumable checkpoint after each chunk, polling the
+    /// stop request between chunks, and upgrading a watchdog abort with a
+    /// final resumable checkpoint before returning the typed error (the
+    /// checkpoints go to the sink; without one none is taken).
     ///
     /// Chunking is behavior-neutral: the only effect of a chunk boundary
     /// is that a quiescent span crossing it is taken as two bulk advances
@@ -3164,13 +3025,7 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
             // restored (identical) machine state, so the two capture sites
             // agree byte for byte.
             if phase.warmup_left == 0 && phase.bases.is_none() {
-                phase.bases = Some(RunBases {
-                    stats: self.stats.clone(),
-                    mem: (0..self.num_threads())
-                        .map(|t| self.hier.thread_stats(t))
-                        .collect(),
-                    pred: (self.branches.predictions, self.branches.mispredictions),
-                });
+                phase.bases = Some(self.run_bases());
             }
             let in_warmup = phase.warmup_left > 0;
             let left = if in_warmup {
@@ -3198,8 +3053,9 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                 // snapshot inside `e`, leave a *resumable* checkpoint so
                 // the campaign can continue (e.g. with a larger budget)
                 // instead of restarting from cycle zero.
-                let snap = self.snapshot_with_run(phase, watch);
-                (opts.sink)(&snap);
+                if let Some(sink) = &mut opts.sink {
+                    sink(&self.snapshot_with_run(phase, watch));
+                }
                 return Err(e);
             }
             if phase.warmup_left == 0 && phase.measure_left == 0 {
@@ -3212,21 +3068,16 @@ impl<P: Probe, S: Sanitizer, F: FetchPolicy> Simulator<P, S, F> {
                     ));
                 }
             }
-            if opts.interval > 0 {
-                let snap = self.snapshot_with_run(phase, watch);
-                (opts.sink)(&snap);
+            if let (true, Some(sink)) = (opts.interval > 0, &mut opts.sink) {
+                sink(&self.snapshot_with_run(phase, watch));
             }
         }
-        let bases = phase
-            .bases
-            .take()
-            .expect("measure complete implies bases captured");
-        Ok(RunOutcome::Completed(self.window_result(
-            phase.measure_total,
-            bases.stats,
-            bases.mem,
-            bases.pred,
-        )))
+        // A run whose measure window is empty ends on the boundary itself,
+        // before the loop head captured the bases.
+        let bases = phase.bases.take().unwrap_or_else(|| self.run_bases());
+        Ok(RunOutcome::Completed(
+            self.window_result(phase.measure_total, bases),
+        ))
     }
 
     /// As [`Simulator::try_run`], emitting a resumable checkpoint every

@@ -278,7 +278,7 @@ fn interrupted_checkpointed_run_resumes_to_the_straight_result() {
     let mut sink = |s: &MachineSnapshot| periodic.push(s.to_bytes());
     let mut opts = CheckpointOpts {
         interval: 1_000,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: Some(&stop),
     };
     let mut b = sim(specs.clone());
@@ -301,7 +301,7 @@ fn interrupted_checkpointed_run_resumes_to_the_straight_result() {
     let mut sink2 = |_: &MachineSnapshot| {};
     let mut opts2 = CheckpointOpts {
         interval: 700,
-        sink: &mut sink2,
+        sink: Some(&mut sink2),
         stop: None,
     };
     let RunOutcome::Completed(resumed) = c.resume_run(pending, &wd, &mut opts2).unwrap() else {
@@ -328,7 +328,7 @@ fn checkpointed_run_without_interruption_equals_try_run() {
     let mut sink = |_: &MachineSnapshot| count += 1;
     let mut opts = CheckpointOpts {
         interval: 500,
-        sink: &mut sink,
+        sink: Some(&mut sink),
         stop: None,
     };
     let mut b = sim(specs);
@@ -341,4 +341,37 @@ fn checkpointed_run_without_interruption_equals_try_run() {
     assert_eq!(r.threads, straight.threads);
     assert_eq!(r.mem, straight.mem);
     assert!(count > 0, "periodic checkpoints must have fired");
+}
+
+#[test]
+fn empty_measure_window_only_warms_up() {
+    // A warmup-only run (the benchmark's snapshot fixture uses one) ends on
+    // the warmup/measure boundary; with or without checkpoint chunks it
+    // reports an empty window and leaves the clock at the boundary.
+    let specs = vec![spec(profile::gzip(), 5, 0), spec(profile::mcf(), 6, 0)];
+    let wd = Watchdog::default();
+    let mut a = sim(specs.clone());
+    let r = a.try_run(1_000, 0, &wd).unwrap();
+    assert_eq!(r.cycles, 0);
+    assert!(r.threads.iter().all(|t| t.committed == 0 && t.fetched == 0));
+    assert_eq!(a.cycle(), 1_000);
+
+    let mut count = 0usize;
+    let mut sink = |_: &MachineSnapshot| count += 1;
+    let mut opts = CheckpointOpts {
+        interval: 300,
+        sink: Some(&mut sink),
+        stop: None,
+    };
+    let mut b = sim(specs);
+    let RunOutcome::Completed(rc) = b.try_run_checkpointed(1_000, 0, &wd, &mut opts).unwrap()
+    else {
+        panic!("no stop request: the run must complete");
+    };
+    assert_eq!(rc.digest(), r.digest());
+    assert_eq!(b.cycle(), 1_000);
+    assert_eq!(
+        count, 3,
+        "checkpoints after the chunks ending at 300, 600, 900"
+    );
 }

@@ -12,6 +12,7 @@
 
 use dwarn_smt::core::PolicyKind;
 use dwarn_smt::metrics::table::TextTable;
+use dwarn_smt::obs::RecordingProbe;
 use dwarn_smt::pipeline::{SimConfig, Simulator};
 use dwarn_smt::workloads::{workload, WorkloadClass};
 
@@ -29,8 +30,13 @@ fn main() {
         "mcf IQ avg",
     ]);
     for kind in PolicyKind::paper_set() {
-        let mut sim = Simulator::new(SimConfig::baseline(), kind.build(), &wl.thread_specs());
-        let (r, occ) = sim.run_sampled(20_000, 60_000, 16);
+        let specs = wl.thread_specs();
+        // Only the occupancy samples are read: a one-event ring suffices.
+        let probe = RecordingProbe::new(specs.len(), 1).with_sampling(16, 20_000);
+        let mut sim = Simulator::try_with_probe(SimConfig::baseline(), kind.build(), &specs, probe)
+            .expect("baseline configuration is valid");
+        let r = sim.run(20_000, 60_000);
+        let occ = sim.into_probe().occupancy();
         t.row(vec![
             kind.name().to_string(),
             format!("{:.2}", r.throughput()),

@@ -11,7 +11,9 @@
 use std::io::{BufReader, BufWriter};
 
 use dwarn_smt::core::PolicyKind;
-use dwarn_smt::pipeline::{SimConfig, Simulator, ThreadFront, ThreadSpec};
+use dwarn_smt::pipeline::{
+    NullProbe, NullSanitizer, SimConfig, Simulator, ThreadFront, ThreadSpec,
+};
 use dwarn_smt::trace::{profile, RecordedTrace};
 
 fn main() -> std::io::Result<()> {
@@ -36,11 +38,14 @@ fn main() -> std::io::Result<()> {
     // 2. Load it back and simulate.
     let loaded = RecordedTrace::read_from(BufReader::new(std::fs::File::open(&path)?))?;
     let front = ThreadFront::from_recording(&loaded, seed, base);
-    let mut replayed = Simulator::with_fronts(
+    let mut replayed = Simulator::try_with_parts(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         vec![front],
-    );
+        NullProbe,
+        NullSanitizer,
+    )
+    .expect("baseline configuration is valid");
     let rr = replayed.run(10_000, 30_000);
 
     // 3. The live-generated twin.

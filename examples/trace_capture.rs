@@ -17,17 +17,19 @@ fn main() {
     let wl = workload(4, WorkloadClass::Mix);
     let specs = wl.thread_specs();
 
-    // Same constructor shape as Simulator::new, plus the probe. NullProbe
-    // (what `new` uses) compiles to nothing; RecordingProbe records
-    // counters, histograms, an event ring and occupancy samples.
-    let probe = RecordingProbe::new(specs.len(), 1 << 20);
-    let mut sim = Simulator::with_probe(
+    // Same constructor shape as Simulator::try_new, plus the probe.
+    // NullProbe (what `try_new` uses) compiles to nothing; RecordingProbe
+    // records counters, histograms, an event ring and — sampling every 50
+    // cycles from the end of the 2 000-cycle warmup — occupancy samples.
+    let probe = RecordingProbe::new(specs.len(), 1 << 20).with_sampling(50, 2_000);
+    let mut sim = Simulator::try_with_probe(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         &specs,
         probe,
-    );
-    let (result, _occ) = sim.run_sampled(2_000, 20_000, 50);
+    )
+    .expect("baseline configuration is valid");
+    let result = sim.run(2_000, 20_000);
     let probe = sim.into_probe();
 
     println!(

@@ -4,8 +4,8 @@
 //! pipeline invariants must hold at sample points while a probe is active.
 
 use dwarn_smt::core::PolicyKind;
-use dwarn_smt::obs::{EventKind, RecordingProbe};
-use dwarn_smt::pipeline::{SimConfig, Simulator};
+use dwarn_smt::obs::{EventKind, OccupancySample, OccupancyStats, RecordingProbe};
+use dwarn_smt::pipeline::{SimConfig, SimResult, Simulator};
 use dwarn_smt::workloads::{workload, WorkloadClass};
 
 const MEASURE: u64 = 20_000;
@@ -22,7 +22,8 @@ fn traced_run(
     let wl = workload(threads, class);
     let specs = wl.thread_specs();
     let probe = RecordingProbe::new(specs.len(), RING);
-    let mut sim = Simulator::with_probe(SimConfig::baseline(), policy.build(), &specs, probe);
+    let mut sim =
+        Simulator::try_with_probe(SimConfig::baseline(), policy.build(), &specs, probe).unwrap();
     let result = sim.run(0, MEASURE);
     (result, sim.into_probe())
 }
@@ -59,12 +60,13 @@ fn commit_events_match_committed_counts_in_detail_mode() {
     let wl = workload(2, WorkloadClass::Mix);
     let specs = wl.thread_specs();
     let probe = RecordingProbe::new(specs.len(), RING).with_detail(true);
-    let mut sim = Simulator::with_probe(
+    let mut sim = Simulator::try_with_probe(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         &specs,
         probe,
-    );
+    )
+    .unwrap();
     let result = sim.run(0, 5_000);
     let probe = sim.into_probe();
     assert_eq!(probe.ring().dropped(), 0);
@@ -158,12 +160,13 @@ fn pipeline_invariants_hold_at_sample_points_under_probe() {
     let wl = workload(4, WorkloadClass::Mix);
     let specs = wl.thread_specs();
     let probe = RecordingProbe::new(specs.len(), RING);
-    let mut sim = Simulator::with_probe(
+    let mut sim = Simulator::try_with_probe(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         &specs,
         probe,
-    );
+    )
+    .unwrap();
     for _ in 0..100 {
         for _ in 0..100 {
             sim.step();
@@ -172,29 +175,106 @@ fn pipeline_invariants_hold_at_sample_points_under_probe() {
     }
 }
 
+/// One sampled run: warm up, then sample occupancy every `every` cycles of
+/// the measured window, with the quiescence engine on or off.
+fn sampled_run(
+    policy: PolicyKind,
+    threads: usize,
+    class: WorkloadClass,
+    skip: bool,
+    (warmup, measure, every): (u64, u64, u64),
+) -> (SimResult, Vec<OccupancySample>, OccupancyStats, u64) {
+    let specs = workload(threads, class).thread_specs();
+    let probe = RecordingProbe::new(specs.len(), RING).with_sampling(every, warmup);
+    let mut sim =
+        Simulator::try_with_probe(SimConfig::baseline(), policy.build(), &specs, probe).unwrap();
+    sim.set_skip_enabled(skip);
+    let result = sim.run(warmup, measure);
+    let skipped = sim.skipped_cycles();
+    let probe = sim.into_probe();
+    (result, probe.samples().to_vec(), probe.occupancy(), skipped)
+}
+
+/// Every field of an occupancy summary, f64s as raw bits.
+fn occupancy_bits(o: &OccupancyStats) -> Vec<u64> {
+    let mut v = vec![o.samples];
+    v.extend(o.avg_iq.iter().map(|x| x.to_bits()));
+    v.extend(o.peak_iq.iter().map(|&x| x as u64));
+    v.extend([o.avg_regs.0.to_bits(), o.avg_regs.1.to_bits()]);
+    v.extend([o.peak_regs.0 as u64, o.peak_regs.1 as u64]);
+    v.extend(o.avg_rob.iter().map(|x| x.to_bits()));
+    v.extend(o.avg_iq_per_thread.iter().map(|x| x.to_bits()));
+    v
+}
+
 #[test]
 fn occupancy_samples_arrive_on_schedule() {
-    let wl = workload(4, WorkloadClass::Mix);
-    let specs = wl.thread_specs();
-    let probe = RecordingProbe::new(specs.len(), RING);
-    let mut sim = Simulator::with_probe(
-        SimConfig::baseline(),
-        PolicyKind::DWarn.build(),
-        &specs,
-        probe,
+    let (result, samples, occ, _) = sampled_run(
+        PolicyKind::DWarn,
+        4,
+        WorkloadClass::Mix,
+        true,
+        (1_000, 10_000, 25),
     );
-    let (result, occ) = sim.run_sampled(1_000, 10_000, 25);
-    let probe = sim.into_probe();
-    assert_eq!(probe.samples().len(), 400, "10_000 cycles / 25 per sample");
+    assert_eq!(samples.len(), 400, "10_000 cycles / 25 per sample");
     assert_eq!(occ.samples, 400);
     assert_eq!(result.cycles, 10_000);
-    for s in probe.samples() {
+    for s in &samples {
         assert_eq!(s.rob.len(), 4);
         assert_eq!(s.iq_per_thread.len(), 4);
     }
     // Samples are strictly ordered in time.
-    for w in probe.samples().windows(2) {
+    for w in samples.windows(2) {
         assert!(w[0].cycle < w[1].cycle);
+    }
+
+    // Skipping never changes a sample or the summary (ICOUNT on 2-MEM
+    // skips often), and every sample matches a naive stepping loop that
+    // reads the machine at the sample cycles. A sample is labelled with
+    // the clock after its cycle was stepped.
+    let window = (1_000, 10_000, 25);
+    for (policy, threads, class) in [
+        (PolicyKind::DWarn, 4, WorkloadClass::Mix),
+        (PolicyKind::Icount, 2, WorkloadClass::Mem),
+    ] {
+        let (r_skip, s_skip, o_skip, skipped) = sampled_run(policy, threads, class, true, window);
+        let (r_naive, s_naive, o_naive, _) = sampled_run(policy, threads, class, false, window);
+        assert!(skipped > 0, "{policy:?}: the skip run must skip");
+        assert_eq!(r_skip.digest(), r_naive.digest(), "{policy:?}");
+        assert_eq!(s_skip, s_naive, "{policy:?}: samples differ with skipping");
+        assert_eq!(
+            occupancy_bits(&o_skip),
+            occupancy_bits(&o_naive),
+            "{policy:?}: occupancy summary differs with skipping"
+        );
+
+        let specs = workload(threads, class).thread_specs();
+        let mut sim = Simulator::new(SimConfig::baseline(), policy.build(), &specs);
+        sim.set_skip_enabled(false);
+        let (warmup, measure, every) = window;
+        for _ in 0..warmup {
+            sim.step();
+        }
+        let mut expected = s_naive.iter();
+        for c in 0..measure {
+            sim.step();
+            if c % every != 0 {
+                continue;
+            }
+            let s = expected.next().expect("a sample for every sample cycle");
+            let (regs_int, regs_fp) = sim.regs_in_use();
+            let rob: Vec<u32> = (0..threads).map(|t| sim.rob_len(t) as u32).collect();
+            assert_eq!(s.cycle, sim.cycle(), "{policy:?} sample label");
+            assert_eq!(s.iq, sim.iq_usage(), "{policy:?} iq at {}", s.cycle);
+            assert_eq!(
+                (s.regs_int, s.regs_fp),
+                (regs_int, regs_fp),
+                "{policy:?} regs at {}",
+                s.cycle
+            );
+            assert_eq!(s.rob, rob, "{policy:?} rob at {}", s.cycle);
+        }
+        assert!(expected.next().is_none(), "{policy:?}: extra samples");
     }
 }
 

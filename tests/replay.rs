@@ -2,7 +2,7 @@
 //! simulator behaves like its live-generated twin.
 
 use dwarn_smt::core::PolicyKind;
-use dwarn_smt::pipeline::{SimConfig, Simulator, ThreadFront};
+use dwarn_smt::pipeline::{NullProbe, NullSanitizer, SimConfig, Simulator, ThreadFront};
 use dwarn_smt::trace::{profile, RecordedTrace};
 
 #[test]
@@ -28,11 +28,14 @@ fn replayed_trace_matches_live_simulation() {
     // synthesis uses an independent PRNG stream in both cases, seeded
     // identically, so the whole simulation should agree cycle-for-cycle.
     let front = ThreadFront::from_recording(&rec, seed, Simulator::thread_addr_base(0));
-    let mut replay = Simulator::with_fronts(
+    let mut replay = Simulator::try_with_parts(
         SimConfig::baseline(),
         PolicyKind::DWarn.build(),
         vec![front],
-    );
+        NullProbe,
+        NullSanitizer,
+    )
+    .unwrap();
     let rr = replay.run(5_000, 15_000);
 
     assert_eq!(rl.threads, rr.threads, "live vs replayed runs must agree");
@@ -65,7 +68,14 @@ fn recorded_trace_rebases_onto_new_address_space() {
         ThreadFront::new(&profile::gzip(), 1, Simulator::thread_addr_base(0), 0),
         ThreadFront::from_recording(&rec, 3, Simulator::thread_addr_base(1)),
     ];
-    let mut sim = Simulator::with_fronts(SimConfig::baseline(), PolicyKind::DWarn.build(), fronts);
+    let mut sim = Simulator::try_with_parts(
+        SimConfig::baseline(),
+        PolicyKind::DWarn.build(),
+        fronts,
+        NullProbe,
+        NullSanitizer,
+    )
+    .unwrap();
     let r = sim.run(3_000, 8_000);
     assert!(r.ipcs()[0] > 0.2, "synthetic thread runs");
     assert!(r.ipcs()[1] > 0.2, "replayed thread runs");
